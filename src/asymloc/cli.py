@@ -5,39 +5,39 @@ filter x planner grid and writes one per-step CSV per combination plus a
 summary CSV mirrored to stdout. ``asymloc sweep --parameter eta --values
 3,4,5,6,7 ...`` re-runs the grid per value and writes one table.
 
-Flags override config-file keys. Every output CSV starts with a comment
-line carrying the resolved seed and preset so results can be replayed
-exactly; the fully resolved config itself is written next to the CSVs.
+Flags are the config's ``[experiment]`` and ``[sweep]`` keys: they
+override the config file's keys and are validated like them. Every output
+CSV starts with a comment line carrying the resolved seed and preset so
+results can be replayed exactly; the fully resolved config itself is
+written next to the CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, SweepSpec, dump_config, parse_config
-from .experiment import (GridSpec, format_summary_table, run_grid, sweep,
-                         write_cell_csv, write_summary_csv, write_sweep_csv)
-from .filters import FILTER_KINDS
-from .planners import PLANNER_KINDS
-from .sim_env import PRESETS, get_preset
+from . import knobs
+from .config import SCHEMA, ConfigError, ExperimentConfig, dump_config, parse_config
+from .experiment import (format_summary_table, run_grid, sweep, write_cell_csv,
+                         write_summary_csv, write_sweep_csv)
+from .sim_env import PRESETS
+
+
+def _add_key_flags(p: argparse.ArgumentParser, section: str) -> None:
+    """One flag per config key of the section, validated like the INI key."""
+    for (sec, key), (_, f) in SCHEMA.items():
+        if sec == section and key != "timing":
+            p.add_argument(f"--{key}", dest=f"{sec}.{key}", help=knobs.describe(f))
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="INI config file (flags override its keys)")
-    p.add_argument("--preset", choices=sorted(PRESETS),
+    p.add_argument("--preset", dest="experiment.preset", choices=sorted(PRESETS),
                    help="scenario preset (required unless --config provides one)")
-    p.add_argument("--seed", type=int, help="base RNG seed; run i uses seed+i")
-    p.add_argument("--runs", type=int, help="Monte Carlo runs per combination")
-    p.add_argument("--steps", type=int, help="simulation steps per run")
-    p.add_argument("--out", type=Path, help="output directory (default: results)")
-    p.add_argument("--filters", help=f"comma list from {FILTER_KINDS}")
-    p.add_argument("--planners", help=f"comma list from {PLANNER_KINDS}")
-    p.add_argument("--threshold", type=float, help="settle threshold in meters (default 2.5)")
-    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    p.add_argument("--no-timing", action="store_true",
+    _add_key_flags(p, "experiment")
+    p.add_argument("--no-timing", dest="experiment.timing", action="store_const", const="false",
                    help="write planner-cost columns as 0.0 so output bytes are fully reproducible")
 
 
@@ -51,76 +51,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="run the grid once per parameter value")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--parameter", help="sweep parameter name")
-    sweep_p.add_argument("--values", help="comma list of sweep values")
+    _add_key_flags(sweep_p, "sweep")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text())
-        if args.preset is not None and args.preset != cfg.preset:
-            # --preset on top of --config restarts from that preset's scenario,
-            # keeping only the config's seed/steps
-            scenario = dataclasses.replace(get_preset(args.preset),
-                                           seed=cfg.scenario.seed, steps=cfg.scenario.steps)
-            cfg = dataclasses.replace(cfg, preset=args.preset, scenario=scenario)
-    else:
-        if args.preset is None:
-            raise ConfigError("either --config or --preset is required")
-        cfg = parse_config(f"[experiment]\npreset = {args.preset}\n")
-
-    scenario_fields = {}
-    if args.seed is not None:
-        scenario_fields["seed"] = args.seed
-    if args.steps is not None:
-        scenario_fields["steps"] = args.steps
-    if scenario_fields:
-        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, **scenario_fields))
-    if args.runs is not None:
-        cfg = dataclasses.replace(cfg, n_runs=args.runs)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=str(args.out))
-    if args.filters is not None:
-        cfg = dataclasses.replace(cfg, filters=_split_list(args.filters, FILTER_KINDS, "filters"))
-    if args.planners is not None:
-        cfg = dataclasses.replace(cfg, planners=_split_list(args.planners, PLANNER_KINDS, "planners"))
-    if args.threshold is not None:
-        cfg = dataclasses.replace(cfg, threshold=args.threshold)
-    if args.jobs is not None:
-        cfg = dataclasses.replace(cfg, n_jobs=args.jobs)
-    if args.no_timing:
-        cfg = dataclasses.replace(cfg, timing=False)
-    if getattr(args, "parameter", None) is not None or getattr(args, "values", None) is not None:
-        if args.parameter is None or args.values is None:
-            raise ConfigError("sweep needs both --parameter and --values")
-        values = tuple(float(v) for v in args.values.split(",") if v.strip())
-        cfg = dataclasses.replace(cfg, sweep=SweepSpec(args.parameter, values))
-    return cfg
-
-
-def _split_list(raw: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for item in items:
-        if item not in allowed:
-            raise ConfigError(f"--{what}: unknown entry {item!r}; expected from {allowed}")
-    if not items:
-        raise ConfigError(f"--{what}: empty list")
-    return items
-
-
-def _to_grid(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(scenario=cfg.scenario, filters=cfg.filters, planners=cfg.planners,
-                    n_runs=cfg.n_runs, threshold=cfg.threshold,
-                    filter_params=cfg.filter_params, planner_cfg=cfg.planner_cfg,
-                    n_jobs=cfg.n_jobs)
+    overrides: dict[str, dict[str, str]] = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = value
+    text = Path(args.config).read_text() if args.config is not None else ""
+    return parse_config(text, overrides)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(dump_config(cfg))
-    results = run_grid(_to_grid(cfg))
+    results = run_grid(cfg)
     cells = [results[(f, p)] for f in cfg.filters for p in cfg.planners]
     seed = cfg.scenario.seed
     for cell in cells:
@@ -138,7 +87,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(dump_config(cfg))
-    rows = sweep(cfg.sweep.parameter, cfg.sweep.values, _to_grid(cfg))
+    rows = sweep(cfg.sweep.parameter, cfg.sweep.values, cfg)
     path = out / f"sweep_{cfg.sweep.parameter}.csv"
     write_sweep_csv(path, rows, seed=cfg.scenario.seed, preset=cfg.preset, timing=cfg.timing)
     header = f"{'parameter':<10} {'value':>8}  {'combination':<24} {'final_rmse_m':>12}  {'steps_to_2p5m':>13}  {'avg_cost_ms':>11}"

@@ -1,10 +1,17 @@
 """Experiment configuration: flat INI-style text with typed validation.
 
-A config names a scenario preset and optionally overrides any knob in the
-``[scenario]``, ``[filter]``, ``[planner]``, or ``[sweep]`` sections. Every
-value is validated on parse with its full ``section.key`` path in the
-error message, and :func:`dump_config` writes back the fully resolved
-state, so a dumped config replays the exact experiment.
+A config names a scenario preset (``[experiment] preset``) and optionally
+overrides any knob in the ``[experiment]``, ``[scenario]``, ``[filter]``,
+``[planner]`` or ``[sweep]`` sections. The keys are not listed here: each
+is a dataclass field declared with :func:`asymloc.knobs.knob` on
+:class:`ExperimentConfig` (and the :class:`GridSpec` it extends),
+:class:`Scenario`, :class:`FilterParams`, :class:`PlannerConfig` or
+:class:`SweepSpec`, whose metadata gives its section, key, text kind and
+bounds. Every value is validated on parse with its full ``section.key``
+path in the error message, and :func:`dump_config` writes back the fully
+resolved state, so a dumped config replays the exact experiment. The CLI's
+flags are the ``[experiment]`` and ``[sweep]`` keys, passed to
+:func:`parse_config` as overrides.
 """
 
 from __future__ import annotations
@@ -12,13 +19,13 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
-from .experiment import SWEEP_PARAMETERS, FilterParams
-from .filters import FILTER_KINDS
-from .planners import PLANNER_KINDS, PlannerConfig
-from .sim_env import PRESETS, Rect, Scenario, get_preset
+from . import knobs
+from .experiment import SWEEP_PARAMETERS, FilterParams, GridSpec
+from .planners import PlannerConfig
+from .sim_env import PRESETS, Scenario, get_preset
 
 
 class ConfigError(ValueError):
@@ -27,238 +34,92 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    parameter: str
-    values: tuple[float, ...]
+    parameter: str = knobs.knob(section="sweep", kind="name", choices=SWEEP_PARAMETERS)
+    values: tuple[float, ...] = knobs.knob(section="sweep", kind="floats")
+
+    def __post_init__(self):
+        knobs.check(self)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description (scenario carries seed/steps)."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(GridSpec):
+    """Fully resolved experiment: the grid (its scenario carries seed and
+    steps) plus the preset it started from and where its output goes."""
 
     preset: str
-    scenario: Scenario
-    filters: tuple[str, ...] = ("proposed", "huber")
-    planners: tuple[str, ...] = ("passive", "reactive", "fim")
-    n_runs: int = 50
-    threshold: float = 2.5
-    out_dir: str = "results"
-    n_jobs: int = 1
-    timing: bool = True
-    filter_params: FilterParams = field(default_factory=FilterParams)
-    planner_cfg: PlannerConfig = field(default_factory=PlannerConfig)
+    out_dir: str = knobs.knob("results", "experiment", key="out")
+    timing: bool = knobs.knob(True, "experiment")
     sweep: Optional[SweepSpec] = None
 
 
-def _parse_float(section: str, key: str, raw: str, lo=None, hi=None) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-    if lo is not None and v < lo:
-        raise ConfigError(f"{section}.{key}: {v} below minimum {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{section}.{key}: {v} above maximum {hi}")
-    return v
+# (section, key) -> (owning dataclass, field); experiment.preset is read apart
+SCHEMA = {(f.metadata["section"], knobs.key(f)): (cls, f)
+          for cls in (ExperimentConfig, Scenario, FilterParams, PlannerConfig, SweepSpec)
+          for f in knobs.config_fields(cls)}
+_SECTIONS = ("experiment", "scenario", "filter", "planner", "sweep")
 
 
-def _parse_int(section: str, key: str, raw: str, lo=None, hi=None) -> int:
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
-    if lo is not None and v < lo:
-        raise ConfigError(f"{section}.{key}: {v} below minimum {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{section}.{key}: {v} above maximum {hi}")
-    return v
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_list(section: str, key: str, raw: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    items = tuple(s.strip() for s in raw.split(",") if s.strip())
-    if not items:
-        raise ConfigError(f"{section}.{key}: empty list")
-    for item in items:
-        if item not in allowed:
-            raise ConfigError(f"{section}.{key}: unknown entry {item!r}; expected from {allowed}")
-    return items
-
-
-def _parse_point(section: str, key: str, raw: str) -> tuple[float, float]:
-    parts = [s.strip() for s in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{section}.{key}: expected 'x,y', got {raw!r}")
-    return (_parse_float(section, key, parts[0]), _parse_float(section, key, parts[1]))
-
-
-def _parse_rect(section: str, key: str, raw: str) -> Optional[Rect]:
-    if raw.strip().lower() == "none":
-        return None
-    parts = [s.strip() for s in raw.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"{section}.{key}: expected 'cx,cy,half_width,half_height' or 'none'")
-    vals = [_parse_float(section, key, p) for p in parts]
-    try:
-        return Rect(*vals)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from None
-
-
-_SCENARIO_KEYS = {
-    "truth": lambda s, k, v: ("truth", _parse_point(s, k, v)),
-    "start": lambda s, k, v: ("start", _parse_point(s, k, v)),
-    "arena": lambda s, k, v: ("arena", _parse_float(s, k, v, lo=1e-9)),
-    "p_nlos": lambda s, k, v: ("p_nlos", _parse_float(s, k, v, lo=0.0, hi=1.0)),
-    "mu_nlos": lambda s, k, v: ("mu_nlos", _parse_float(s, k, v, lo=1e-12)),
-    "sigma_b_theta_deg": lambda s, k, v: ("sigma_b_theta_deg", _parse_float(s, k, v, lo=1e-12)),
-    "delta_r": lambda s, k, v: ("delta_r", _parse_float(s, k, v)),
-    "delta_theta_deg": lambda s, k, v: ("delta_theta_deg", _parse_float(s, k, v)),
-    "sigma_r": lambda s, k, v: ("sigma_r", _parse_float(s, k, v, lo=1e-12)),
-    "sigma_theta_deg": lambda s, k, v: ("sigma_theta_deg", _parse_float(s, k, v, lo=1e-12)),
-    "obstacle": lambda s, k, v: ("obstacle", _parse_rect(s, k, v)),
-    "p_nlos_clear": lambda s, k, v: ("p_nlos_clear", _parse_float(s, k, v, lo=0.0, hi=1.0)),
-    "shared_nlos": lambda s, k, v: ("shared_nlos_flag", _parse_bool(s, k, v)),
-}
-
-_FILTER_KEYS = {
-    "k_rtt": lambda s, k, v: ("k_rtt", _parse_float(s, k, v, lo=1e-12)),
-    "k_aoa": lambda s, k, v: ("k_aoa", _parse_float(s, k, v, lo=1e-12)),
-    "sigma_delta_r": lambda s, k, v: ("sigma_delta_r", _parse_float(s, k, v, lo=1e-12)),
-    "sigma_delta_theta_deg": lambda s, k, v: ("sigma_delta_theta_deg", _parse_float(s, k, v, lo=1e-12)),
-    "init_position_std": lambda s, k, v: ("init_position_std", _parse_float(s, k, v, lo=1e-12)),
-    "irls_iterations": lambda s, k, v: ("irls_iterations", _parse_int(s, k, v, lo=1, hi=10)),
-    "process_noise": lambda s, k, v: ("process_noise", _parse_float(s, k, v, lo=0.0)),
-    "em_enabled": lambda s, k, v: ("em_enabled", _parse_bool(s, k, v)),
-    "em_window": lambda s, k, v: ("em_window", _parse_int(s, k, v, lo=1)),
-}
-
-_PLANNER_KEYS = {
-    "eta": lambda s, k, v: ("eta", _parse_float(s, k, v, lo=1e-12)),
-    "ell": lambda s, k, v: ("ell", _parse_float(s, k, v, lo=1e-12)),
-    "eps_stop": lambda s, k, v: ("eps_stop", _parse_float(s, k, v, lo=0.0)),
-    "candidate_count": lambda s, k, v: ("candidate_count", _parse_int(s, k, v, lo=2)),
-    "lawnmower_spacing": lambda s, k, v: ("lawnmower_spacing", _parse_float(s, k, v, lo=1e-12)),
-}
-
-_KNOWN_SECTIONS = ("experiment", "scenario", "filter", "planner", "sweep")
-
-
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str,
+                 overrides: Optional[Mapping[str, Mapping[str, str]]] = None) -> ExperimentConfig:
     """Parse and validate config text into a resolved :class:`ExperimentConfig`.
 
     The ``experiment.preset`` key is required; every other key falls back
-    to the preset / library defaults.
+    to the preset / library defaults. ``overrides`` maps section to raw
+    key/value text that replaces the text's own keys and is validated the
+    same way. An overriding preset that differs from the text's discards
+    the text's ``[scenario]`` section, which was written against the old
+    preset; its seed, steps and other sections are kept.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    overrides = overrides or {}
+    preset = overrides.get("experiment", {}).get("preset")
+    if preset is not None and preset != cp.get("experiment", "preset", fallback=preset):
+        cp.remove_section("scenario")
+    cp.read_dict(overrides)
 
     for section in cp.sections():
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown section [{section}]; expected one of {_KNOWN_SECTIONS}")
-
-    exp = dict(cp["experiment"]) if cp.has_section("experiment") else {}
-    preset = exp.pop("preset", None)
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; expected one of {_SECTIONS}")
+    preset = cp.get("experiment", "preset", fallback=None)
     if preset is None:
+        others = ",".join(k for s, k in SCHEMA if s == "experiment")
         raise ConfigError(
-            "missing required key experiment.preset "
-            f"(one of {sorted(PRESETS)}); other accepted keys: experiment.{{seed,runs,steps,"
-            "out,filters,planners,threshold,jobs,timing}} plus [scenario]/[filter]/[planner]/[sweep] overrides")
+            f"missing required key experiment.preset (one of {sorted(PRESETS)}); other accepted "
+            f"keys: experiment.{{{others}}} plus [scenario]/[filter]/[planner]/[sweep] overrides")
+
+    given: dict[type, dict] = {cls: {} for cls, _ in SCHEMA.values()}
+    for section in cp.sections():
+        for key, raw in cp.items(section):
+            if (section, key) == ("experiment", "preset"):
+                continue
+            if (section, key) not in SCHEMA:
+                raise ConfigError(f"unknown key {section}.{key}")
+            cls, f = SCHEMA[section, key]
+            try:
+                given[cls][f.name] = knobs.parse(f, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from None
+
     try:
-        scenario = get_preset(preset)
+        scenario = dataclasses.replace(get_preset(preset), **given[Scenario])
     except KeyError as exc:
         raise ConfigError(f"experiment.preset: {exc.args[0]}") from None
-
-    n_runs, threshold, out_dir, n_jobs, timing = 50, 2.5, "results", 1, True
-    filters: tuple[str, ...] = ("proposed", "huber")
-    planners: tuple[str, ...] = ("passive", "reactive", "fim")
-    scenario_fields: dict = {}
-    for key, raw in exp.items():
-        if key == "seed":
-            scenario_fields["seed"] = _parse_int("experiment", key, raw)
-        elif key == "runs":
-            n_runs = _parse_int("experiment", key, raw, lo=1)
-        elif key == "steps":
-            scenario_fields["steps"] = _parse_int("experiment", key, raw, lo=1)
-        elif key == "out":
-            out_dir = raw
-        elif key == "filters":
-            filters = _parse_list("experiment", key, raw, FILTER_KINDS)
-        elif key == "planners":
-            planners = _parse_list("experiment", key, raw, PLANNER_KINDS)
-        elif key == "threshold":
-            threshold = _parse_float("experiment", key, raw, lo=1e-12)
-        elif key == "jobs":
-            n_jobs = _parse_int("experiment", key, raw, lo=1)
-        elif key == "timing":
-            timing = _parse_bool("experiment", key, raw)
-        else:
-            raise ConfigError(f"unknown key experiment.{key}")
-
-    if cp.has_section("scenario"):
-        for key, raw in cp["scenario"].items():
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"unknown key scenario.{key}")
-            name, value = _SCENARIO_KEYS[key]("scenario", key, raw)
-            scenario_fields[name] = value
-    try:
-        scenario = dataclasses.replace(scenario, **scenario_fields)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
-
-    fp_fields: dict = {}
-    if cp.has_section("filter"):
-        for key, raw in cp["filter"].items():
-            if key not in _FILTER_KEYS:
-                raise ConfigError(f"unknown key filter.{key}")
-            name, value = _FILTER_KEYS[key]("filter", key, raw)
-            fp_fields[name] = value
-    filter_params = FilterParams(**fp_fields)
-
-    pc_fields: dict = {"arena": scenario.arena}
-    if cp.has_section("planner"):
-        for key, raw in cp["planner"].items():
-            if key not in _PLANNER_KEYS:
-                raise ConfigError(f"unknown key planner.{key}")
-            name, value = _PLANNER_KEYS[key]("planner", key, raw)
-            pc_fields[name] = value
-    try:
-        planner_cfg = PlannerConfig(**pc_fields)
-    except ValueError as exc:
-        raise ConfigError(f"planner: {exc}") from None
-
-    sweep_spec = None
+    sweep = None
     if cp.has_section("sweep"):
-        sw = dict(cp["sweep"])
-        param = sw.pop("parameter", None)
-        raw_values = sw.pop("values", None)
-        if sw:
-            raise ConfigError(f"unknown key sweep.{next(iter(sw))}")
-        if param is None or raw_values is None:
-            raise ConfigError("sweep section needs both sweep.parameter and sweep.values")
-        if param not in SWEEP_PARAMETERS:
-            raise ConfigError(f"sweep.parameter: unknown parameter {param!r}; expected one of {SWEEP_PARAMETERS}")
-        values = tuple(_parse_float("sweep", "values", s.strip())
-                       for s in raw_values.split(",") if s.strip())
-        if not values:
-            raise ConfigError("sweep.values: empty list")
-        sweep_spec = SweepSpec(param, values)
-
-    return ExperimentConfig(preset=preset, scenario=scenario, filters=filters,
-                            planners=planners, n_runs=n_runs, threshold=threshold,
-                            out_dir=out_dir, n_jobs=n_jobs, timing=timing,
-                            filter_params=filter_params, planner_cfg=planner_cfg,
-                            sweep=sweep_spec)
+        for f in dataclasses.fields(SweepSpec):
+            if f.name not in given[SweepSpec]:
+                raise ConfigError(f"missing required key sweep.{knobs.key(f)}")
+        sweep = SweepSpec(**given[SweepSpec])
+    return ExperimentConfig(preset=preset, scenario=scenario,
+                            filter_params=FilterParams(**given[FilterParams]),
+                            planner_cfg=PlannerConfig(arena=scenario.arena, **given[PlannerConfig]),
+                            sweep=sweep, **given[ExperimentConfig])
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -267,61 +128,13 @@ def dump_config(cfg: ExperimentConfig) -> str:
     Round-trips exactly: ``parse_config(dump_config(cfg)) == cfg``.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    sc = cfg.scenario
-    cp["experiment"] = {
-        "preset": cfg.preset,
-        "seed": str(sc.seed),
-        "runs": str(cfg.n_runs),
-        "steps": str(sc.steps),
-        "out": cfg.out_dir,
-        "filters": ",".join(cfg.filters),
-        "planners": ",".join(cfg.planners),
-        "threshold": repr(cfg.threshold),
-        "jobs": str(cfg.n_jobs),
-        "timing": "true" if cfg.timing else "false",
-    }
-    obstacle = "none" if sc.obstacle is None else ",".join(
-        repr(v) for v in (sc.obstacle.cx, sc.obstacle.cy, sc.obstacle.half_width, sc.obstacle.half_height))
-    cp["scenario"] = {
-        "truth": f"{sc.truth[0]!r},{sc.truth[1]!r}",
-        "start": f"{sc.start[0]!r},{sc.start[1]!r}",
-        "arena": repr(sc.arena),
-        "p_nlos": repr(sc.p_nlos),
-        "mu_nlos": repr(sc.mu_nlos),
-        "sigma_b_theta_deg": repr(sc.sigma_b_theta_deg),
-        "delta_r": repr(sc.delta_r),
-        "delta_theta_deg": repr(sc.delta_theta_deg),
-        "sigma_r": repr(sc.sigma_r),
-        "sigma_theta_deg": repr(sc.sigma_theta_deg),
-        "obstacle": obstacle,
-        "p_nlos_clear": repr(sc.p_nlos_clear),
-        "shared_nlos": "true" if sc.shared_nlos_flag else "false",
-    }
-    fp = cfg.filter_params
-    cp["filter"] = {
-        "k_rtt": repr(fp.k_rtt),
-        "k_aoa": repr(fp.k_aoa),
-        "sigma_delta_r": repr(fp.sigma_delta_r),
-        "sigma_delta_theta_deg": repr(fp.sigma_delta_theta_deg),
-        "init_position_std": repr(fp.init_position_std),
-        "irls_iterations": str(fp.irls_iterations),
-        "process_noise": repr(fp.process_noise),
-        "em_enabled": "true" if fp.em_enabled else "false",
-        "em_window": str(fp.em_window),
-    }
-    pc = cfg.planner_cfg
-    cp["planner"] = {
-        "eta": repr(pc.eta),
-        "ell": repr(pc.ell),
-        "eps_stop": repr(pc.eps_stop),
-        "candidate_count": str(pc.candidate_count),
-        "lawnmower_spacing": repr(pc.lawnmower_spacing),
-    }
-    if cfg.sweep is not None:
-        cp["sweep"] = {
-            "parameter": cfg.sweep.parameter,
-            "values": ",".join(repr(v) for v in cfg.sweep.values),
-        }
+    cp["experiment"] = {"preset": cfg.preset}
+    for part in (cfg, cfg.scenario, cfg.filter_params, cfg.planner_cfg, cfg.sweep):
+        for f in knobs.config_fields(part) if part is not None else ():
+            section = f.metadata["section"]
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][knobs.key(f)] = knobs.dump(f, getattr(part, f.name))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -24,10 +24,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .filters import FilterConfig, RobustEkf, make_filter_config
+from .filters import FILTER_KINDS, FilterConfig, RobustEkf, make_filter_config
 from .geometry import CoincidentPointsError, Modality
+from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
-from .planners import PlannerConfig, make_planner
+from .planners import PLANNER_KINDS, PlannerConfig, make_planner
 from .sim_env import Scenario, observe_with_draw
 
 ERCM_WINDOW = 30
@@ -38,27 +39,24 @@ class FilterParams:
     """Filter knobs that are not part of the scenario (the noise scales
     come from the scenario so filter and world stay matched)."""
 
-    k_rtt: float = 1.5
-    k_aoa: float = 1.345
-    sigma_delta_r: float = 2.0
-    sigma_delta_theta_deg: float = 5.0
-    init_position_std: float = 40.0
-    irls_iterations: int = 3
-    process_noise: float = 1e-4
-    em_enabled: bool = False
-    em_window: int = 50
+    k_rtt: float = knob(1.5, "filter", gt=0.0)
+    k_aoa: float = knob(1.345, "filter", gt=0.0)
+    sigma_delta_r: float = knob(2.0, "filter", gt=0.0)
+    sigma_delta_theta_deg: float = knob(5.0, "filter", gt=0.0)
+    init_position_std: float = knob(40.0, "filter", gt=0.0)
+    irls_iterations: int = knob(3, "filter", ge=1, le=10)
+    process_noise: float = knob(1e-4, "filter", ge=0.0)
+    em_enabled: bool = knob(False, "filter")
+    em_window: int = knob(50, "filter", ge=1)
+
+    def __post_init__(self):
+        check(self)
 
 
 def build_filter_config(kind: str, scenario: Scenario, params: FilterParams) -> FilterConfig:
-    return make_filter_config(
-        kind, scenario.sigma_r, scenario.sigma_theta_rad,
-        k_rtt=params.k_rtt, k_aoa=params.k_aoa,
-        sigma_delta_r=params.sigma_delta_r,
-        sigma_delta_theta=math.radians(params.sigma_delta_theta_deg),
-        init_position_std=params.init_position_std,
-        irls_iterations=params.irls_iterations,
-        process_noise=params.process_noise,
-        em_enabled=params.em_enabled, em_window=params.em_window)
+    fields = dataclasses.asdict(params)
+    fields["sigma_delta_theta"] = math.radians(fields.pop("sigma_delta_theta_deg"))
+    return make_filter_config(kind, scenario.sigma_r, scenario.sigma_theta_rad, **fields)
 
 
 @dataclass
@@ -98,19 +96,18 @@ class GridSpec:
     """One experiment: scenario, combinations, ensemble size."""
 
     scenario: Scenario
-    filters: tuple[str, ...] = ("proposed", "huber")
-    planners: tuple[str, ...] = ("passive", "reactive", "fim")
-    n_runs: int = 50
-    threshold: float = 2.5
+    filters: tuple[str, ...] = knob(("proposed", "huber"), "experiment", kind="names",
+                                    choices=FILTER_KINDS)
+    planners: tuple[str, ...] = knob(("passive", "reactive", "fim"), "experiment", kind="names",
+                                     choices=PLANNER_KINDS)
+    n_runs: int = knob(50, "experiment", key="runs", ge=1)
+    threshold: float = knob(2.5, "experiment", gt=0.0)
     filter_params: FilterParams = field(default_factory=FilterParams)
     planner_cfg: Optional[PlannerConfig] = None
-    n_jobs: int = 1
+    n_jobs: int = knob(1, "experiment", key="jobs", ge=1)
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        check(self)
         if self.planner_cfg is None:
             object.__setattr__(self, "planner_cfg", PlannerConfig(arena=self.scenario.arena))
 
@@ -287,20 +284,16 @@ class SweepRow:
 
 
 def _apply_sweep_value(grid: GridSpec, parameter: str, value: float) -> GridSpec:
-    if parameter in ("p_nlos", "mu_nlos", "sigma_r"):
-        return dataclasses.replace(grid, scenario=dataclasses.replace(grid.scenario, **{parameter: value}))
-    if parameter == "eta":
-        return dataclasses.replace(grid, planner_cfg=dataclasses.replace(grid.planner_cfg, eta=value))
-    if parameter == "k_rtt":
-        return dataclasses.replace(grid, filter_params=dataclasses.replace(grid.filter_params, k_rtt=value))
+    for name in ("scenario", "planner_cfg", "filter_params"):
+        part = getattr(grid, name)
+        if parameter in {f.name for f in config_fields(part)}:
+            return dataclasses.replace(grid, **{name: dataclasses.replace(part, **{parameter: value})})
     raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
 
 
 def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[SweepRow]:
     """Re-run the grid once per parameter value (same seed base across
     values, so rows are paired on the underlying noise draws)."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     rows: list[SweepRow] = []
     for v in values:
         results = run_grid(_apply_sweep_value(base, parameter, float(v)))

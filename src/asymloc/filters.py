@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import CoincidentPointsError, Modality, Pose2, h_aoa, h_rtt, jacobian, wrap_angle
+from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
 # state vector layout
@@ -72,28 +73,20 @@ class FilterConfig:
 
     rtt_loss: LossSpec
     aoa_loss: LossSpec
-    sigma_delta_r: float = 2.0
-    sigma_delta_theta: float = np.deg2rad(5.0)
-    init_position_std: float = 40.0
-    irls_iterations: int = 3
-    process_noise: float = 1e-4
+    sigma_delta_r: float = knob(2.0, gt=0.0)
+    sigma_delta_theta: float = knob(np.deg2rad(5.0), kind="float", gt=0.0)
+    init_position_std: float = knob(40.0, gt=0.0)
+    irls_iterations: int = knob(3, ge=1, le=10)
+    process_noise: float = knob(1e-4, ge=0.0)
     em_enabled: bool = False
-    em_window: int = 50
+    em_window: int = knob(50, ge=1)
     # bearing linearization is invalid when the estimate sits on the agent
     # (Jacobian blows up as 1/d); below this predicted range the AoA update
     # is skipped like a coincident measurement
     min_aoa_range: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma_delta_r", "sigma_delta_theta", "init_position_std"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 1 <= self.irls_iterations <= 10:
-            raise ValueError(f"irls_iterations must be in [1, 10], got {self.irls_iterations}")
-        if self.process_noise < 0.0:
-            raise ValueError("process_noise must be non-negative")
-        if self.em_window < 1:
-            raise ValueError("em_window must be >= 1")
+        check(self)
 
     def loss_for(self, modality: Modality) -> LossSpec:
         return self.rtt_loss if modality is Modality.RTT else self.aoa_loss
@@ -119,16 +112,9 @@ class UpdateDiagnostics:
 
 
 def make_filter_config(kind: str, sigma_r: float, sigma_theta: float, *,
-                       k_rtt: float = 1.5, k_aoa: float = 1.345,
-                       sigma_delta_r: float = 2.0,
-                       sigma_delta_theta: float = np.deg2rad(5.0),
-                       init_position_std: float = 40.0,
-                       irls_iterations: int = 3,
-                       process_noise: float = 1e-4,
-                       em_enabled: bool = False,
-                       em_window: int = 50,
-                       min_aoa_range: float = 1.0) -> FilterConfig:
-    """Build the config for one of the stock filter kinds.
+                       k_rtt: float = 1.5, k_aoa: float = 1.345, **fields) -> FilterConfig:
+    """Build the config for one of the stock filter kinds; ``fields`` are
+    the other :class:`FilterConfig` fields (its defaults otherwise).
 
     The ``ekf`` kind forces a single update iteration: with a quadratic
     loss the reweighting is a no-op and one iteration is exactly the
@@ -143,15 +129,10 @@ def make_filter_config(kind: str, sigma_r: float, sigma_theta: float, *,
     elif kind == "ekf":
         rtt = LossSpec.quadratic(sigma_r)
         aoa = LossSpec.quadratic(sigma_theta)
-        irls_iterations = 1
+        fields["irls_iterations"] = 1
     else:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
-    return FilterConfig(rtt_loss=rtt, aoa_loss=aoa, sigma_delta_r=sigma_delta_r,
-                        sigma_delta_theta=sigma_delta_theta,
-                        init_position_std=init_position_std,
-                        irls_iterations=irls_iterations, process_noise=process_noise,
-                        em_enabled=em_enabled, em_window=em_window,
-                        min_aoa_range=min_aoa_range)
+    return FilterConfig(rtt_loss=rtt, aoa_loss=aoa, **fields)
 
 
 def init_state(config: FilterConfig, initial_guess) -> EstimatorState:

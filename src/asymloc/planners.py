@@ -23,6 +23,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .geometry import Modality
+from .knobs import check, knob
 from .observability import eig2x2_sym
 
 
@@ -30,22 +31,15 @@ from .observability import eig2x2_sym
 class PlannerConfig:
     """Shared planner knobs; ``arena`` is the side length of the square world."""
 
-    eta: float = 5.0
-    ell: float = 20.0
-    eps_stop: float = 0.1
-    candidate_count: int = 16
-    lawnmower_spacing: float = 10.0
-    arena: float = 100.0
+    eta: float = knob(5.0, "planner", gt=0.0)
+    ell: float = knob(20.0, "planner", gt=0.0)
+    eps_stop: float = knob(0.1, "planner", ge=0.0)
+    candidate_count: int = knob(16, "planner", ge=2)
+    lawnmower_spacing: float = knob(10.0, "planner", gt=0.0)
+    arena: float = knob(100.0, gt=0.0)  # taken from the scenario, not a config key
 
     def __post_init__(self):
-        if self.eta <= 0.0 or self.ell <= 0.0:
-            raise ValueError("eta and ell must be positive")
-        if self.eps_stop < 0.0:
-            raise ValueError("eps_stop must be non-negative")
-        if self.candidate_count < 2:
-            raise ValueError("candidate_count must be >= 2")
-        if self.lawnmower_spacing <= 0.0 or self.arena <= 0.0:
-            raise ValueError("lawnmower_spacing and arena must be positive")
+        check(self)
 
 
 def clamp_to_arena(pose: np.ndarray, arena: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .geometry import Modality, Pose2, h_aoa, h_rtt, wrap_angle
 from .filters import Measurement
+from .knobs import check, knob
 
 
 @dataclass(frozen=True)
@@ -85,30 +86,24 @@ class Scenario:
     unless ``shared_nlos_flag`` is off.
     """
 
-    truth: tuple[float, float] = (50.0, 50.0)
-    start: tuple[float, float] = (10.0, 10.0)
-    arena: float = 100.0
-    p_nlos: float = 0.9
-    mu_nlos: float = 8.0
-    sigma_b_theta_deg: float = 5.0
-    delta_r: float = 1.5
-    delta_theta_deg: float = -3.0
-    sigma_r: float = 1.5
-    sigma_theta_deg: float = 2.0
-    steps: int = 300
-    obstacle: Optional[Rect] = None
-    p_nlos_clear: float = 0.1
-    shared_nlos_flag: bool = True
-    seed: int = 0
+    truth: tuple[float, float] = knob((50.0, 50.0), "scenario", kind="floats", n=2)
+    start: tuple[float, float] = knob((10.0, 10.0), "scenario", kind="floats", n=2)
+    arena: float = knob(100.0, "scenario", gt=0.0)
+    p_nlos: float = knob(0.9, "scenario", ge=0.0, le=1.0)
+    mu_nlos: float = knob(8.0, "scenario", gt=0.0)
+    sigma_b_theta_deg: float = knob(5.0, "scenario", gt=0.0)
+    delta_r: float = knob(1.5, "scenario")
+    delta_theta_deg: float = knob(-3.0, "scenario")
+    sigma_r: float = knob(1.5, "scenario", gt=0.0)
+    sigma_theta_deg: float = knob(2.0, "scenario", gt=0.0)
+    steps: int = knob(300, "experiment", ge=1)
+    obstacle: Optional[Rect] = knob(None, "scenario", kind="floats", n=4, make=Rect)
+    p_nlos_clear: float = knob(0.1, "scenario", ge=0.0, le=1.0)
+    shared_nlos_flag: bool = knob(True, "scenario", key="shared_nlos")
+    seed: int = knob(0, "experiment")
 
     def __post_init__(self):
-        if not 0.0 <= self.p_nlos <= 1.0 or not 0.0 <= self.p_nlos_clear <= 1.0:
-            raise ValueError("NLOS probabilities must be in [0, 1]")
-        for name in ("mu_nlos", "sigma_b_theta_deg", "sigma_r", "sigma_theta_deg", "arena"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check(self)
         for label, point in (("truth", self.truth), ("start", self.start)):
             x, y = point
             if not (0.0 <= x <= self.arena and 0.0 <= y <= self.arena):

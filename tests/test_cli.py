@@ -1,9 +1,17 @@
+import dataclasses
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asymloc import knobs
 from asymloc.cli import main
 from asymloc.config import ConfigError, dump_config, parse_config
+from asymloc.config import ExperimentConfig, SweepSpec
+from asymloc.experiment import FilterParams
+from asymloc.planners import PlannerConfig
+from asymloc.sim_env import PRESETS, Rect, Scenario, get_preset
 
 
 MINIMAL = "[experiment]\npreset = canonical_medium\n"
@@ -184,3 +192,100 @@ class TestCliSweep:
         sweep_row = (tmp_path / "sweep" / "sweep_mu_nlos.csv").read_text().splitlines()[2]
         # combination,final,steps,cost must match between the two commands
         assert sweep_row.split(",", 2)[2] == run_summary
+
+
+class TestFlagsAsConfigKeys:
+    @pytest.mark.parametrize("argv, path", [
+        (("run", "--jobs", "0"), "experiment.jobs"),
+        (("run", "--runs", "0"), "experiment.runs"),
+        (("sweep", "--parameter", "eta", "--values", ","), "sweep.values"),
+        (("sweep", "--parameter", "eta", "--values", "1,x"), "sweep.values"),
+        (("sweep", "--parameter", "bogus", "--values", "1"), "sweep.parameter"),
+    ])
+    def test_flag_errors_name_their_config_key(self, tmp_path, capsys, argv, path):
+        code = run_cli(*argv, "--preset", "canonical_medium", "--steps", "2",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, path", [
+        ("threshold = nan\n", "experiment.threshold"),
+        ("[filter]\nk_rtt = inf\n", "filter.k_rtt"),
+        ("[scenario]\ntruth = 50,nan\n", "scenario.truth"),
+        ("[sweep]\nparameter = eta\nvalues = 3,nan\n", "sweep.values"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, path):
+        with pytest.raises(ConfigError, match=path):
+            parse_config(MINIMAL + text)
+
+    def test_preset_flag_restarts_the_config_files_scenario(self, tmp_path):
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(MINIMAL + "seed = 7\nruns = 1\nsteps = 5\n"
+                            "[scenario]\np_nlos = 0.2\n[filter]\nk_rtt = 2.5\n"
+                            "[planner]\neta = 3.5\n")
+        out = tmp_path / "res"
+        code = run_cli("run", "--config", str(cfg_file), "--preset", "obstacle",
+                       "--out", str(out), "--filters", "ekf", "--planners", "passive")
+        assert code == 0
+        cfg = parse_config((out / "config.ini").read_text())
+        assert cfg.preset == "obstacle"
+        # the flag's preset replaces the file's scenario, [scenario] overrides included
+        assert cfg.scenario.obstacle == get_preset("obstacle").obstacle
+        assert cfg.scenario.p_nlos == get_preset("obstacle").p_nlos
+        # seed, steps and the [filter]/[planner] overrides come from the file
+        assert (cfg.scenario.seed, cfg.scenario.steps, cfg.n_runs) == (7, 5, 1)
+        assert cfg.filter_params.k_rtt == 2.5
+        assert cfg.planner_cfg.eta == 3.5
+
+
+def knob_values(cls, **fixed):
+    """A strategy for a dict with an in-bounds value for every config knob
+    of ``cls``, read from the knobs' metadata; ``fixed`` overrides some."""
+    def strategy(f):
+        m = f.metadata
+        kind = m["kind"]
+        if kind in ("float", "floats"):
+            lo = m.get("ge", m.get("gt"))
+            number = st.floats(min_value=lo, max_value=m.get("le"), exclude_min="gt" in m,
+                               allow_nan=False, allow_infinity=False)
+            if kind == "float":
+                return number
+            return st.lists(number, min_size=m.get("n", 1), max_size=m.get("n", 6)).map(tuple)
+        if kind == "int":
+            return st.integers(min_value=m.get("ge"), max_value=m.get("le"))
+        if kind == "bool":
+            return st.booleans()
+        if kind == "name":
+            return st.sampled_from(m["choices"])
+        if kind == "names":
+            return st.lists(st.sampled_from(m["choices"]), min_size=1, max_size=4).map(tuple)
+        return st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
+
+    return st.fixed_dictionaries({f.name: fixed[f.name] if f.name in fixed else strategy(f)
+                                  for f in knobs.config_fields(cls)})
+
+
+@st.composite
+def experiment_configs(draw, preset):
+    arena = draw(st.floats(min_value=1e-6, max_value=1e6))
+    point = st.tuples(*[st.floats(min_value=0.0, max_value=arena)] * 2)
+    rect = st.builds(Rect, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+                     st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+    scenario = dataclasses.replace(get_preset(preset), **draw(knob_values(
+        Scenario, arena=st.just(arena), truth=point, start=point,
+        obstacle=st.none() | rect)))
+    sweep = draw(st.none() | knob_values(SweepSpec).map(lambda kw: SweepSpec(**kw)))
+    return ExperimentConfig(
+        preset=preset, scenario=scenario, sweep=sweep,
+        filter_params=FilterParams(**draw(knob_values(FilterParams))),
+        planner_cfg=PlannerConfig(arena=arena, **draw(knob_values(PlannerConfig))),
+        **draw(knob_values(ExperimentConfig)))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data())
+def test_every_knob_round_trips(preset, data):
+    cfg = data.draw(experiment_configs(preset))
+    assert parse_config(dump_config(cfg)) == cfg
