@@ -1,7 +1,7 @@
 """Asymmetric robust localization: one-sided range filtering, observability
 diagnostics, and active search planners, with a seeded Monte Carlo harness."""
 
-from .geometry import CoincidentPointsError, Modality, Pose2, h_aoa, h_rtt, jacobian, wrap_angle
+from .geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian, wrap_angle
 from .losses import (LossFamily, LossSpec, NoNlosEvidenceError, WrongLossFamilyError,
                      em_update_lambda, irls_weight, k_from_lambda, lambda_from_k,
                      loss, loss_curvature, loss_grad, soft_threshold_bias)
@@ -13,7 +13,7 @@ from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTr
 from .planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfig,
                        ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                        reactive_crossing)
-from .sim_env import (PRESETS, ChannelDraw, Rect, Scenario, get_preset, observe,
+from .sim_env import (PRESETS, ChannelDraw, Rect, Scenario, get_preset, observe_with_draw,
                       sample_channel, segment_intersects_rect)
 from .experiment import (FilterParams, GridSpec, RunMetrics, RunResult, SweepRow,
                          aggregate, run_grid, run_single, sweep)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import knobs
-from .experiment import SWEEP_PARAMETERS, FilterParams, GridSpec
+from .experiment import SWEEP_PARAMETERS, FilterParams, GridSpec, _apply_sweep_value
 from .planners import PlannerConfig
 from .sim_env import PRESETS, Scenario, get_preset
 
@@ -116,10 +116,17 @@ def parse_config(text: str,
             if f.name not in given[SweepSpec]:
                 raise ConfigError(f"missing required key sweep.{knobs.key(f)}")
         sweep = SweepSpec(**given[SweepSpec])
-    return ExperimentConfig(preset=preset, scenario=scenario,
-                            filter_params=FilterParams(**given[FilterParams]),
-                            planner_cfg=PlannerConfig(arena=scenario.arena, **given[PlannerConfig]),
-                            sweep=sweep, **given[ExperimentConfig])
+    cfg = ExperimentConfig(preset=preset, scenario=scenario,
+                           filter_params=FilterParams(**given[FilterParams]),
+                           planner_cfg=PlannerConfig(arena=scenario.arena, **given[PlannerConfig]),
+                           sweep=sweep, **given[ExperimentConfig])
+    # every sweep value must fit its target knob before the first one runs
+    for v in sweep.values if sweep is not None else ():
+        try:
+            _apply_sweep_value(cfg, sweep.parameter, v)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from None
+    return cfg
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .filters import FILTER_KINDS, FilterConfig, RobustEkf, make_filter_config
+from .filters import FILTER_KINDS, FilterConfig, RobustEkf, learned_bias, make_filter_config
 from .geometry import CoincidentPointsError, Modality
 from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
@@ -62,7 +62,8 @@ def build_filter_config(kind: str, scenario: Scenario, params: FilterParams) -> 
 @dataclass
 class RunResult:
     """Per-step records of a single run. Series are NaN-padded past an
-    abort point (aborts are recorded, not raised)."""
+    abort point (a ``CoincidentPointsError`` is recorded as an abort; any
+    other error propagates)."""
 
     errors: np.ndarray
     bias_r: np.ndarray
@@ -112,6 +113,16 @@ class GridSpec:
             object.__setattr__(self, "planner_cfg", PlannerConfig(arena=self.scenario.arena))
 
 
+def _observe(scenario: Scenario, agent, rng: np.random.Generator, step: int):
+    """The step's :func:`observe_with_draw` result, or ``None`` with the agent
+    exactly over the target: no usable observation that step (the
+    measurements are skipped; the run keeps predicting and moving)."""
+    try:
+        return observe_with_draw(scenario, agent, rng, step)
+    except CoincidentPointsError:
+        return None
+
+
 def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                planner_cfg: PlannerConfig, run_seed: int) -> RunResult:
     """Execute one closed-loop run, deterministic for a given seed.
@@ -126,14 +137,13 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     # seed the belief by backprojecting the first range/bearing pair from the
     # start pose; the wide init_position_std keeps the prior weak, and the
     # same measurements then flow through the regular update path
-    try:
-        first_obs = observe_with_draw(scenario, agent, rng, 0)
-        guess = np.clip(agent + first_obs[0].value * np.array([math.cos(first_obs[1].value),
-                                                               math.sin(first_obs[1].value)]),
-                        0.0, scenario.arena)
-    except CoincidentPointsError:
-        first_obs = None  # start pose exactly on the target
+    obs = _observe(scenario, agent, rng, 0)
+    if obs is None:  # start pose exactly on the target
         guess = np.array([scenario.arena / 2.0, scenario.arena / 2.0])
+    else:
+        guess = np.clip(agent + obs[0].value * np.array([math.cos(obs[1].value),
+                                                         math.sin(obs[1].value)]),
+                        0.0, scenario.arena)
     filt = RobustEkf(filter_cfg, guess)
     noise = {Modality.RTT: filter_cfg.rtt_loss.sigma, Modality.AOA: filter_cfg.aoa_loss.sigma}
     planner = make_planner(planner_kind, planner_cfg, noise)
@@ -154,35 +164,26 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     for t in range(steps):
         try:
             filt.predict()
-            try:
-                if t == 0:
-                    if first_obs is None:
-                        raise CoincidentPointsError("start pose on target")
-                    m_rtt, m_aoa, _, clamped = first_obs
-                else:
-                    m_rtt, m_aoa, _, clamped = observe_with_draw(scenario, agent, rng, t)
-            except CoincidentPointsError:
-                # agent exactly over the target: no usable observation this
-                # step (skip measurements, keep predicting and moving)
-                m_rtt = m_aoa = None
-            if m_rtt is not None:
+            if t > 0:
+                obs = _observe(scenario, agent, rng, t)
+            if obs is not None:
+                m_rtt, m_aoa, _, clamped = obs
                 n_clamped += int(clamped)
                 d_rtt = filt.update(m_rtt)
                 d_aoa = filt.update(m_aoa)
                 for diag, spec in ((d_rtt, filt.config.rtt_loss), (d_aoa, filt.config.aoa_loss)):
                     if not diag.skipped:
                         tracker.add(classify_residual(diag.residual, spec, diag.jacobian_pos, t))
-            est = filt.position_estimate
+            est = filt.state.position
             errors[t] = float(np.hypot(est[0] - truth[0], est[1] - truth[1]))
-            bias_r[t] = filt.learned_bias(Modality.RTT)
-            bias_theta[t] = filt.learned_bias(Modality.AOA)
+            bias_r[t] = learned_bias(filt.state, Modality.RTT)
+            bias_theta[t] = learned_bias(filt.state, Modality.AOA)
             lambda_min[t] = tracker.lambda_min()
             trajectory[t] = agent
             tic = time.perf_counter()
             agent = planner.next_pose(agent, est)
             planner_cost[t] = time.perf_counter() - tic
-        except (CoincidentPointsError, ValueError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
+        except CoincidentPointsError as exc:
             aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"
             break

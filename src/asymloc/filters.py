@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CoincidentPointsError, Modality, Pose2, h_aoa, h_rtt, jacobian, wrap_angle
+from .geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
@@ -37,11 +37,11 @@ _DELTA_INDEX = {Modality.RTT: IDR, Modality.AOA: IDT}
 
 @dataclass(frozen=True)
 class Measurement:
-    """One timestamped observation from a known agent pose."""
+    """One timestamped observation from a known agent position ``(x, y)``."""
 
     modality: Modality
     value: float
-    agent: Pose2
+    agent: tuple[float, float]
     step: int = 0
 
 
@@ -154,12 +154,6 @@ def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     return EstimatorState(state.mean.copy(), cov)
 
 
-def _observation(modality: Modality, position: np.ndarray, agent: Pose2) -> float:
-    if modality is Modality.RTT:
-        return h_rtt(position, agent)
-    return h_aoa(position, agent)
-
-
 def update(state: EstimatorState, z: Measurement,
            config: FilterConfig) -> tuple[EstimatorState, UpdateDiagnostics]:
     """Fold one measurement into the belief (iterated, reweighted update).
@@ -189,7 +183,7 @@ def update(state: EstimatorState, z: Measurement,
             if (z.modality is Modality.AOA
                     and h_rtt(xi[:2], z.agent) < config.min_aoa_range):
                 return state, UpdateDiagnostics(z.modality, skipped=True)
-            pred = _observation(z.modality, xi[:2], z.agent)
+            pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
             J = jacobian(z.modality, xi[:2], z.agent)
         except CoincidentPointsError:
             return state, UpdateDiagnostics(z.modality, skipped=True)
@@ -259,10 +253,3 @@ class RobustEkf:
             return
         new_loss = LossSpec.one_sided(self.config.rtt_loss.sigma, lam=lam_new)
         self.config = dataclasses.replace(self.config, rtt_loss=new_loss)
-
-    def learned_bias(self, modality: Modality) -> float:
-        return learned_bias(self.state, modality)
-
-    @property
-    def position_estimate(self) -> np.ndarray:
-        return self.state.position

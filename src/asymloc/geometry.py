@@ -3,13 +3,13 @@
 The world is a flat 2D plane (nadir-view abstraction: the agent flies at a
 known, constant altitude, so the vertical axis never enters the math). This
 module provides the observation functions for the two sensor modalities,
-their position Jacobians, and angle arithmetic.
+their position Jacobians, and angle arithmetic. A point is anything
+indexable as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or a numpy array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,34 +28,9 @@ class Modality(Enum):
     AOA = "aoa"
 
 
-@dataclass(frozen=True)
-class Pose2:
-    """Agent position in the plane, meters."""
-
-    x: float
-    y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    def __array__(self, dtype=None) -> np.ndarray:
-        arr = self.as_array()
-        return arr if dtype is None else arr.astype(dtype)
-
-
-def _xy(p) -> tuple[float, float]:
-    """Coerce a Pose2 / array-like / (x, y) pair to two floats."""
-    if isinstance(p, Pose2):
-        return p.x, p.y
-    a = np.asarray(p, dtype=float)
-    return float(a[0]), float(a[1])
-
-
 def h_rtt(target, agent) -> float:
     """Ideal range observation: Euclidean distance from agent to target."""
-    tx, ty = _xy(target)
-    ax, ay = _xy(agent)
-    return math.hypot(tx - ax, ty - ay)
+    return math.hypot(target[0] - agent[0], target[1] - agent[1])
 
 
 def h_aoa(target, agent) -> float:
@@ -67,9 +42,7 @@ def h_aoa(target, agent) -> float:
     CoincidentPointsError
         If target and agent coincide (bearing undefined).
     """
-    tx, ty = _xy(target)
-    ax, ay = _xy(agent)
-    dx, dy = tx - ax, ty - ay
+    dx, dy = target[0] - agent[0], target[1] - agent[1]
     if dx == 0.0 and dy == 0.0:
         raise CoincidentPointsError("bearing undefined for coincident target/agent")
     return math.atan2(dy, dx)
@@ -89,9 +62,7 @@ def jacobian(modality: Modality, target, agent) -> np.ndarray:
     CoincidentPointsError
         If d = 0 (both Jacobians singular there).
     """
-    tx, ty = _xy(target)
-    ax, ay = _xy(agent)
-    dx, dy = tx - ax, ty - ay
+    dx, dy = target[0] - agent[0], target[1] - agent[1]
     d = math.hypot(dx, dy)
     if d == 0.0:
         raise CoincidentPointsError("Jacobian undefined for coincident target/agent")

@@ -14,6 +14,9 @@ Three families share one interface:
 Losses are normalized: the 1/sigma^2 factor lives inside the loss, so the
 one-sided threshold is ``tau = lam * sigma^2`` while the symmetric one is
 ``tau = k * sigma``. The two parameterizations meet at ``k = lam * sigma``.
+The families differ only in which residuals saturate
+(:meth:`LossSpec.saturates`): at equal ``tau`` the symmetric loss is the
+one-sided loss with the bias's non-negativity constraint relaxed.
 """
 
 from __future__ import annotations
@@ -97,6 +100,19 @@ class LossSpec:
             if self.lam is not None or self.k is not None:
                 raise ValueError("quadratic spec takes no threshold parameter")
 
+    def saturates(self, r: float) -> bool:
+        """The family's one saturation rule: ``r > tau`` for one-sided,
+        ``|r| > tau`` for symmetric, never for quadratic."""
+        if self.family is LossFamily.ONE_SIDED:
+            return r > self.tau
+        return self.family is LossFamily.SYMMETRIC and abs(r) > self.tau
+
+    @property
+    def slope(self) -> float:
+        """Gradient magnitude on the saturated branch: ``lam`` for one-sided,
+        ``k / sigma`` for symmetric (both equal ``tau / sigma^2``)."""
+        return self.lam if self.family is LossFamily.ONE_SIDED else self.k / self.sigma
+
     @classmethod
     def one_sided(cls, sigma: float, lam: Optional[float] = None,
                   k: Optional[float] = None) -> "LossSpec":
@@ -123,29 +139,19 @@ def soft_threshold_bias(r: float, spec: LossSpec) -> float:
 
 
 def loss(r: float, spec: LossSpec) -> float:
-    """Evaluate the loss at residual ``r``."""
-    s2 = spec.sigma**2
-    if spec.family is LossFamily.ONE_SIDED:
-        if r <= spec.tau:
-            return r * r / (2.0 * s2)
-        return spec.lam * r - 0.5 * spec.lam**2 * s2
-    if spec.family is LossFamily.SYMMETRIC:
-        if abs(r) <= spec.tau:
-            return r * r / (2.0 * s2)
-        return (spec.k / spec.sigma) * abs(r) - 0.5 * spec.k**2
-    return r * r / (2.0 * s2)
+    """Evaluate the loss at residual ``r``: quadratic, or on the saturated
+    branch linear with slope :attr:`LossSpec.slope`, meeting the quadratic
+    at the threshold."""
+    if spec.saturates(r):
+        return spec.slope * (abs(r) - 0.5 * spec.tau)
+    return r * r / (2.0 * spec.sigma**2)
 
 
 def loss_grad(r: float, spec: LossSpec) -> float:
     """First derivative of :func:`loss`; continuous across the threshold."""
-    s2 = spec.sigma**2
-    if spec.family is LossFamily.ONE_SIDED:
-        return r / s2 if r <= spec.tau else spec.lam
-    if spec.family is LossFamily.SYMMETRIC:
-        if abs(r) <= spec.tau:
-            return r / s2
-        return math.copysign(spec.k / spec.sigma, r)
-    return r / s2
+    if spec.saturates(r):
+        return math.copysign(spec.slope, r)
+    return r / spec.sigma**2
 
 
 def loss_curvature(r: float, spec: LossSpec) -> float:
@@ -155,21 +161,13 @@ def loss_curvature(r: float, spec: LossSpec) -> float:
     the exact kink (measure-zero) the left limit ``1/sigma^2`` is returned;
     use :func:`at_curvature_kink` to detect that case.
     """
-    s2 = spec.sigma**2
-    if spec.family is LossFamily.ONE_SIDED:
-        return 1.0 / s2 if r <= spec.tau else 0.0
-    if spec.family is LossFamily.SYMMETRIC:
-        return 1.0 / s2 if abs(r) <= spec.tau else 0.0
-    return 1.0 / s2
+    return 0.0 if spec.saturates(r) else 1.0 / spec.sigma**2
 
 
 def at_curvature_kink(r: float, spec: LossSpec) -> bool:
-    """True when ``r`` sits exactly on the loss threshold."""
-    if spec.family is LossFamily.ONE_SIDED:
-        return r == spec.tau
-    if spec.family is LossFamily.SYMMETRIC:
-        return abs(r) == spec.tau
-    return False
+    """True when ``r`` sits exactly on the loss threshold: unsaturated, but
+    the next float farther from zero is saturated."""
+    return not spec.saturates(r) and spec.saturates(math.nextafter(r, math.copysign(math.inf, r)))
 
 
 def irls_weight(r: float, spec: LossSpec) -> float:
@@ -179,13 +177,7 @@ def irls_weight(r: float, spec: LossSpec) -> float:
     weight 1 means full trust, smaller weights down-weight saturated
     residuals. One-sided specs keep full trust on every negative residual.
     """
-    if r == 0.0:
-        return 1.0
-    if spec.family is LossFamily.ONE_SIDED:
-        return 1.0 if r <= spec.tau else spec.tau / r
-    if spec.family is LossFamily.SYMMETRIC:
-        return 1.0 if abs(r) <= spec.tau else spec.tau / abs(r)
-    return 1.0
+    return spec.tau / abs(r) if spec.saturates(r) else 1.0
 
 
 def em_update_lambda(bias_estimates: Sequence[float]) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import math
 
@@ -75,6 +75,14 @@ def _report_from(matrix: np.ndarray, n_saturated: int, n_active: int,
                            n_saturated=n_saturated, n_active=n_active)
 
 
+def _curvature_term(sample: CurvatureSample) -> Optional[np.ndarray]:
+    """The sample's rank-one term ``w * J J^T``, or ``None`` when it carries
+    no curvature (saturated or zero weight)."""
+    if sample.saturated or sample.weight == 0.0:
+        return None
+    return sample.weight * np.outer(sample.jacobian, sample.jacobian)
+
+
 def accumulate(samples: Iterable[CurvatureSample],
                mu_threshold: float = 0.0) -> CurvatureReport:
     """Sum ``w * J J^T`` over samples and report the spectrum.
@@ -82,20 +90,10 @@ def accumulate(samples: Iterable[CurvatureSample],
     An empty or all-saturated sample set yields the zero matrix with
     ``lambda_min = 0``: no usable curvature anywhere in the plane.
     """
-    m = np.zeros((2, 2))
-    n_sat = 0
-    n_act = 0
-    for s in samples:
-        if s.saturated or s.weight == 0.0:
-            n_sat += 1
-            continue
-        n_act += 1
-        j = s.jacobian
-        m[0, 0] += s.weight * j[0] * j[0]
-        m[0, 1] += s.weight * j[0] * j[1]
-        m[1, 1] += s.weight * j[1] * j[1]
-    m[1, 0] = m[0, 1]
-    return _report_from(m, n_sat, n_act, mu_threshold)
+    terms = [_curvature_term(s) for s in samples]
+    active = [term for term in terms if term is not None]
+    return _report_from(sum(active, np.zeros((2, 2))), len(terms) - len(active), len(active),
+                        mu_threshold)
 
 
 def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
@@ -108,15 +106,10 @@ def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
     (non-saturated) and its Jacobian has a component along the previous
     minimum eigenvector -- the geometric payoff of a crossing maneuver.
     """
-    m = before.matrix.copy()
-    n_sat, n_act = before.n_saturated, before.n_active
-    if new_sample.saturated or new_sample.weight == 0.0:
-        n_sat += 1
-    else:
-        n_act += 1
-        j = new_sample.jacobian
-        m = m + new_sample.weight * np.outer(j, j)
-    after = _report_from(m, n_sat, n_act, mu_threshold)
+    term = _curvature_term(new_sample)
+    m = before.matrix.copy() if term is None else before.matrix + term
+    after = _report_from(m, before.n_saturated + (term is None),
+                         before.n_active + (term is not None), mu_threshold)
     return after, after.lambda_min - before.lambda_min
 
 
@@ -126,7 +119,8 @@ class SlidingCurvatureTracker:
     A full-history matrix masks recent degeneracy, so the per-step
     ``lambda_min`` series is computed over the trailing ``window`` samples.
     The running matrix is maintained incrementally (add new / subtract
-    expired outer products).
+    expired outer products); the window keeps each sample's term, so an
+    expired term is subtracted exactly as it was added.
     """
 
     def __init__(self, window: int = 30, mu_threshold: float = 0.0):
@@ -134,27 +128,26 @@ class SlidingCurvatureTracker:
             raise ValueError("window must be >= 1")
         self.window = window
         self.mu_threshold = mu_threshold
-        self._samples: deque[CurvatureSample] = deque()
+        self._terms: deque[Optional[np.ndarray]] = deque()
         self._m = np.zeros((2, 2))
         self._n_sat = 0
 
     def add(self, sample: CurvatureSample) -> None:
-        self._samples.append(sample)
-        if sample.saturated or sample.weight == 0.0:
+        term = _curvature_term(sample)
+        self._terms.append(term)
+        if term is None:
             self._n_sat += 1
         else:
-            j = sample.jacobian
-            self._m += sample.weight * np.outer(j, j)
-        if len(self._samples) > self.window:
-            old = self._samples.popleft()
-            if old.saturated or old.weight == 0.0:
+            self._m += term
+        if len(self._terms) > self.window:
+            old = self._terms.popleft()
+            if old is None:
                 self._n_sat -= 1
             else:
-                j = old.jacobian
-                self._m -= old.weight * np.outer(j, j)
+                self._m -= old
 
     def report(self) -> CurvatureReport:
-        n_act = len(self._samples) - self._n_sat
+        n_act = len(self._terms) - self._n_sat
         return _report_from(self._m.copy(), self._n_sat, n_act, self.mu_threshold)
 
     def lambda_min(self) -> float:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Modality, Pose2, h_aoa, h_rtt, wrap_angle
+from .geometry import Modality, h_aoa, h_rtt, wrap_angle
 from .filters import Measurement
 from .knobs import check, knob
 
@@ -174,13 +174,15 @@ def sample_channel(scenario: Scenario, agent, rng: np.random.Generator) -> Chann
 
 def observe_with_draw(scenario: Scenario, agent, rng: np.random.Generator,
                       step: int = 0) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
-    """Generate the step's (range, bearing) measurement pair.
+    """Generate the step's (range, bearing) measurement pair, taken from the
+    agent position ``(x, y)``.
 
     Returns the pair plus the channel draw and whether the range had to be
-    clamped at zero (noise can't make a physical range negative).
+    clamped at zero (noise can't make a physical range negative). Raises
+    ``CoincidentPointsError`` (after the step's draws) on the target itself.
     """
-    pose = agent if isinstance(agent, Pose2) else Pose2(float(agent[0]), float(agent[1]))
-    draw = sample_channel(scenario, pose.as_array(), rng)
+    pose = (float(agent[0]), float(agent[1]))
+    draw = sample_channel(scenario, pose, rng)
     true_range = h_rtt(scenario.truth, pose)
     true_bearing = h_aoa(scenario.truth, pose)
 
@@ -193,13 +195,6 @@ def observe_with_draw(scenario: Scenario, agent, rng: np.random.Generator,
     m_rtt = Measurement(Modality.RTT, y_rtt, pose, step)
     m_aoa = Measurement(Modality.AOA, y_aoa, pose, step)
     return m_rtt, m_aoa, draw, clamped
-
-
-def observe(scenario: Scenario, agent, rng: np.random.Generator,
-            step: int = 0) -> tuple[Measurement, Measurement]:
-    """Measurement pair for one step (see :func:`observe_with_draw`)."""
-    m_rtt, m_aoa, _, _ = observe_with_draw(scenario, agent, rng, step)
-    return m_rtt, m_aoa
 
 
 def _canonical(sigma_r: float) -> Scenario:

@@ -17,7 +17,7 @@ import pytest
 from asymloc.cli import main as cli_main
 from asymloc.experiment import FilterParams, GridSpec, build_filter_config, run_grid, run_single
 from asymloc.filters import Measurement, init_state, predict, update
-from asymloc.geometry import Modality, Pose2, h_aoa, h_rtt, wrap_angle
+from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, k_from_lambda, lambda_from_k, loss, loss_grad
 from asymloc.observability import CurvatureSample, accumulate, crossing_improves
 from asymloc.planners import PlannerConfig, fim_e_optimal, reactive_crossing
@@ -350,7 +350,7 @@ def test_criterion_09_reduction_sanity():
         st = init_state(cfg, rng.uniform(20, 80, 2))
         mean_ref, cov_ref = st.mean.copy(), st.cov.copy()
         for step in range(10):
-            agent = Pose2(*rng.uniform(0, 100, 2))
+            agent = tuple(rng.uniform(0, 100, 2))
             if h_rtt(truth, agent) < 2.0:
                 continue
             if step % 2 == 0:

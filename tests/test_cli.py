@@ -9,7 +9,7 @@ from asymloc import knobs
 from asymloc.cli import main
 from asymloc.config import ConfigError, dump_config, parse_config
 from asymloc.config import ExperimentConfig, SweepSpec
-from asymloc.experiment import FilterParams
+from asymloc.experiment import SWEEP_PARAMETERS, FilterParams
 from asymloc.planners import PlannerConfig
 from asymloc.sim_env import PRESETS, Rect, Scenario, get_preset
 
@@ -76,6 +76,12 @@ class TestParseConfig:
         assert cfg.sweep.values == (3.0, 4.0, 5.0)
         with pytest.raises(ConfigError, match="sweep.parameter"):
             parse_config(MINIMAL + "[sweep]\nparameter = nope\nvalues = 1\n")
+
+    def test_sweep_values_checked_against_their_knob(self):
+        with pytest.raises(ConfigError, match=r"sweep\.values: p_nlos: 1\.5 must be <= 1\.0"):
+            parse_config(MINIMAL + "[sweep]\nparameter = p_nlos\nvalues = 0.5,1.5\n")
+        with pytest.raises(ConfigError, match=r"sweep\.values: eta"):
+            parse_config(MINIMAL + "[sweep]\nparameter = eta\nvalues = 3,0\n")
 
     def test_round_trip(self):
         text = (MINIMAL + "seed = 3\nruns = 4\nsteps = 33\n"
@@ -175,6 +181,14 @@ class TestCliSweep:
         lines = (tmp_path / "sweep_k_rtt.csv").read_text().splitlines()
         assert len(lines) == 2 + 5
 
+    def test_out_of_bounds_value_stops_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = run_cli("sweep", "--preset", "canonical_medium", "--runs", "1", "--steps", "2",
+                       "--parameter", "p_nlos", "--values", "0.5,1.5", "--out", str(out))
+        assert code == 2
+        assert "sweep.values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_without_parameter_fails(self, tmp_path, capsys):
         code = run_cli("sweep", "--preset", "canonical_medium", "--out", str(tmp_path))
         assert code == 2
@@ -239,31 +253,43 @@ class TestFlagsAsConfigKeys:
         assert cfg.planner_cfg.eta == 3.5
 
 
+def knob_strategy(f):
+    """A strategy for an in-bounds value of one config knob, read from its
+    metadata."""
+    m = f.metadata
+    kind = m["kind"]
+    if kind in ("float", "floats"):
+        lo = m.get("ge", m.get("gt"))
+        number = st.floats(min_value=lo, max_value=m.get("le"), exclude_min="gt" in m,
+                           allow_nan=False, allow_infinity=False)
+        if kind == "float":
+            return number
+        return st.lists(number, min_size=m.get("n", 1), max_size=m.get("n", 6)).map(tuple)
+    if kind == "int":
+        return st.integers(min_value=m.get("ge"), max_value=m.get("le"))
+    if kind == "bool":
+        return st.booleans()
+    if kind == "name":
+        return st.sampled_from(m["choices"])
+    if kind == "names":
+        return st.lists(st.sampled_from(m["choices"]), min_size=1, max_size=4).map(tuple)
+    return st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
+
+
 def knob_values(cls, **fixed):
     """A strategy for a dict with an in-bounds value for every config knob
-    of ``cls``, read from the knobs' metadata; ``fixed`` overrides some."""
-    def strategy(f):
-        m = f.metadata
-        kind = m["kind"]
-        if kind in ("float", "floats"):
-            lo = m.get("ge", m.get("gt"))
-            number = st.floats(min_value=lo, max_value=m.get("le"), exclude_min="gt" in m,
-                               allow_nan=False, allow_infinity=False)
-            if kind == "float":
-                return number
-            return st.lists(number, min_size=m.get("n", 1), max_size=m.get("n", 6)).map(tuple)
-        if kind == "int":
-            return st.integers(min_value=m.get("ge"), max_value=m.get("le"))
-        if kind == "bool":
-            return st.booleans()
-        if kind == "name":
-            return st.sampled_from(m["choices"])
-        if kind == "names":
-            return st.lists(st.sampled_from(m["choices"]), min_size=1, max_size=4).map(tuple)
-        return st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
-
-    return st.fixed_dictionaries({f.name: fixed[f.name] if f.name in fixed else strategy(f)
+    of ``cls``; ``fixed`` overrides some."""
+    return st.fixed_dictionaries({f.name: fixed[f.name] if f.name in fixed else knob_strategy(f)
                                   for f in knobs.config_fields(cls)})
+
+
+def sweep_specs(parameter):
+    """A strategy for a sweep of ``parameter`` whose values fit the bounds
+    of the knob it is routed to (parse_config rejects any other)."""
+    target = next(f for cls in (Scenario, FilterParams, PlannerConfig)
+                  for f in knobs.config_fields(cls) if f.name == parameter)
+    return st.lists(knob_strategy(target), min_size=1, max_size=6).map(
+        lambda values: SweepSpec(parameter, tuple(values)))
 
 
 @st.composite
@@ -275,7 +301,7 @@ def experiment_configs(draw, preset):
     scenario = dataclasses.replace(get_preset(preset), **draw(knob_values(
         Scenario, arena=st.just(arena), truth=point, start=point,
         obstacle=st.none() | rect)))
-    sweep = draw(st.none() | knob_values(SweepSpec).map(lambda kw: SweepSpec(**kw)))
+    sweep = draw(st.none() | st.sampled_from(SWEEP_PARAMETERS).flatmap(sweep_specs))
     return ExperimentConfig(
         preset=preset, scenario=scenario, sweep=sweep,
         filter_params=FilterParams(**draw(knob_values(FilterParams))),

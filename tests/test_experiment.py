@@ -7,7 +7,7 @@ from asymloc.experiment import (FilterParams, GridSpec, RunResult, aggregate,
                                 build_filter_config, format_summary_table, run_grid,
                                 run_single, sweep, write_cell_csv, write_summary_csv,
                                 write_sweep_csv)
-from asymloc.planners import PlannerConfig
+from asymloc.planners import LawnmowerPlanner, PlannerConfig
 from asymloc.sim_env import Scenario, get_preset
 
 
@@ -105,6 +105,26 @@ class TestRunSingle:
         assert res.lambda_min.shape == (40,)
         assert (res.lambda_min >= 0.0).all()
         assert res.lambda_min[10:].max() > 0.0
+
+    def test_start_on_target_skips_the_first_observation(self):
+        sc = quiet_scenario(truth=(30.0, 40.0), start=(30.0, 40.0), steps=20)
+        fc = build_filter_config("proposed", sc, FilterParams())
+        res = run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=3)
+        assert res.aborted_at is None
+        assert np.isfinite(res.errors).all()
+        # no step-0 update: the belief still sits at the arena-centre guess
+        assert res.errors[0] == pytest.approx(np.hypot(50.0 - 30.0, 50.0 - 40.0), abs=1e-9)
+
+    def test_planner_error_propagates(self, monkeypatch):
+        # only coincident geometry is a recorded abort; a fault anywhere else
+        # in the loop must not be turned into an aborted run
+        def broken(self, agent, estimate=None):
+            raise ValueError("planner fault")
+        monkeypatch.setattr(LawnmowerPlanner, "next_pose", broken)
+        sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
+        fc = build_filter_config("proposed", sc, FilterParams())
+        with pytest.raises(ValueError, match="planner fault"):
+            run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=0)
 
 
 class TestGrid:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asymloc.geometry import (CoincidentPointsError, Modality, Pose2, h_aoa, h_rtt,
+from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt,
                               jacobian, wrap_angle)
 
 
@@ -72,6 +74,14 @@ def test_jacobian_matches_finite_differences():
         np.testing.assert_allclose(ja, fd_a, rtol=1e-6, atol=1e-9)
 
 
+@settings(derandomize=True, deadline=None)
+@given(a=st.floats(min_value=-1e6, max_value=1e6))
+def test_wrap_angle_idempotent(a):
+    w = wrap_angle(a)
+    assert -math.pi < w <= math.pi
+    assert wrap_angle(w) == w
+
+
 def test_wrap_angle_examples():
     assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-12)
     assert wrap_angle(-math.pi) == math.pi
@@ -86,9 +96,3 @@ def test_wrap_angle_range_and_congruence():
         # same angle mod 2*pi
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
-
-
-def test_pose2_array_protocol():
-    p = Pose2(3.0, 4.0)
-    np.testing.assert_array_equal(np.asarray(p), [3.0, 4.0])
-    assert h_rtt((0, 0), p) == 5.0

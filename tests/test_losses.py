@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asymloc.losses import (LossFamily, LossSpec, NoNlosEvidenceError,
                             WrongLossFamilyError, at_curvature_kink, em_update_lambda,
@@ -247,3 +249,53 @@ class TestEmUpdate:
         draws = rng.exponential(8.0, size=10000)
         lam = em_update_lambda(list(draws))
         assert lam == pytest.approx(0.125, rel=0.10)
+
+
+# Property tests of the saturation rule: r > tau saturates a one-sided loss,
+# |r| > tau a symmetric one, and nothing saturates a quadratic one.
+SIGMAS = st.floats(min_value=1e-3, max_value=1e3)
+KS = st.floats(min_value=1e-2, max_value=10.0)
+# no subnormals: sigma^2 * (r / sigma^2) / r must stay a ratio of normal floats
+RESIDUALS = st.floats(min_value=-1e4, max_value=1e4).filter(lambda r: r == 0.0 or abs(r) > 1e-100)
+SATURATING = st.one_of(st.builds(lambda s, k: LossSpec.one_sided(s, k=k), SIGMAS, KS),
+                       st.builds(LossSpec.symmetric, SIGMAS, KS))
+SPECS = SATURATING | st.builds(LossSpec.quadratic, SIGMAS)
+
+
+class TestSaturationRuleProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(spec=SATURATING)
+    def test_loss_and_grad_continuous_at_each_saturating_threshold(self, spec):
+        sides = (1.0,) if spec.family is LossFamily.ONE_SIDED else (1.0, -1.0)
+        for side in sides:
+            edge = side * spec.tau
+            beyond = math.nextafter(edge, side * math.inf)
+            assert not spec.saturates(edge) and spec.saturates(beyond)
+            assert at_curvature_kink(edge, spec)
+            assert loss(beyond, spec) == pytest.approx(loss(edge, spec), rel=1e-9)
+            assert loss_grad(beyond, spec) == pytest.approx(loss_grad(edge, spec), rel=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(spec=SPECS, r=RESIDUALS)
+    def test_irls_weight_in_unit_interval_and_grad_ratio(self, spec, r):
+        w = irls_weight(r, spec)
+        assert 0.0 < w <= 1.0
+        if r != 0.0:
+            assert w == pytest.approx(spec.sigma**2 * loss_grad(r, spec) / r, rel=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(sigma=SIGMAS, k=KS, r=RESIDUALS)
+    def test_one_sided_is_symmetric_with_the_negative_side_unconstrained(self, sigma, k, r):
+        one = LossSpec.one_sided(sigma, k=k)
+        sym = LossSpec.symmetric(sigma, k=k)
+        quad = LossSpec.quadratic(sigma)
+        assert one.tau == pytest.approx(sym.tau, rel=1e-12)
+        fns = (loss, loss_grad, loss_curvature, irls_weight)
+        if r <= 0.0:
+            # below zero the non-negative bias constraint is inactive: plain least squares
+            assert [f(r, one) for f in fns] == [f(r, quad) for f in fns]
+        else:
+            # the two thresholds may differ in the last bit; keep clear of them
+            assume(abs(r - one.tau) > 1e-9 * one.tau and abs(r - sym.tau) > 1e-9 * sym.tau)
+            for f in fns:
+                assert f(r, one) == pytest.approx(f(r, sym), rel=1e-12)

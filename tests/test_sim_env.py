@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
-from asymloc.sim_env import (PRESETS, Rect, Scenario, get_preset, observe,
+from asymloc.sim_env import (PRESETS, Rect, Scenario, get_preset,
                              observe_with_draw, sample_channel, segment_intersects_rect)
 
 
@@ -145,7 +145,7 @@ class TestObserve:
                       delta_r=1.5, delta_theta_deg=-3.0)
         rng = np.random.default_rng(0)
         agent = (10.0, 10.0)
-        m_rtt, m_aoa = observe(sc, agent, rng)
+        m_rtt, m_aoa = observe_with_draw(sc, agent, rng)[:2]
         assert m_rtt.value == pytest.approx(h_rtt(sc.truth, agent) + 1.5, abs=1e-6)
         assert m_aoa.value == pytest.approx(
             wrap_angle(h_aoa(sc.truth, agent) + math.radians(-3.0)), abs=1e-6)
@@ -167,7 +167,7 @@ class TestObserve:
         for seq, seed in ((seq1, 9), (seq2, 9)):
             rng = np.random.default_rng(seed)
             for t in range(100):
-                m_rtt, m_aoa = observe(sc, (10.0 + t, 10.0), rng, step=t)
+                m_rtt, m_aoa = observe_with_draw(sc, (10.0 + t, 10.0), rng, step=t)[:2]
                 seq.append((m_rtt.value, m_aoa.value))
         assert seq1 == seq2
 
@@ -175,14 +175,14 @@ class TestObserve:
         sc = Scenario(sigma_b_theta_deg=120.0)
         rng = np.random.default_rng(11)
         for _ in range(2000):
-            _, m_aoa = observe(sc, (90.0, 90.0), rng)
+            _, m_aoa = observe_with_draw(sc, (90.0, 90.0), rng)[:2]
             assert -math.pi < m_aoa.value <= math.pi
 
     def test_measurement_metadata(self):
         sc = get_preset("canonical_medium")
         rng = np.random.default_rng(12)
-        m_rtt, m_aoa = observe(sc, (20.0, 30.0), rng, step=17)
+        m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), rng, step=17)[:2]
         assert m_rtt.modality is Modality.RTT
         assert m_aoa.modality is Modality.AOA
         assert m_rtt.step == 17 and m_aoa.step == 17
-        assert (m_rtt.agent.x, m_rtt.agent.y) == (20.0, 30.0)
+        assert m_rtt.agent == (20.0, 30.0)
