@@ -5,8 +5,8 @@ from .geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian, w
 from .losses import (LossFamily, LossSpec, NoNlosEvidenceError, WrongLossFamilyError,
                      em_update_lambda, irls_weight, k_from_lambda, lambda_from_k,
                      loss, loss_curvature, loss_grad, soft_threshold_bias)
-from .filters import (FILTER_KINDS, EstimatorState, FilterConfig, Measurement,
-                      RobustEkf, UpdateDiagnostics, init_state, learned_bias,
+from .filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
+                      Measurement, RobustEkf, UpdateDiagnostics, init_state, learned_bias,
                       make_filter_config, predict, update)
 from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTracker,
                             accumulate, classify_residual, crossing_improves)

@@ -18,13 +18,13 @@ import csv
 import dataclasses
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .filters import FILTER_KINDS, FilterConfig, RobustEkf, learned_bias, make_filter_config
+from .filters import (FILTER_KINDS, FilterConfig, FilterDivergenceError, RobustEkf, learned_bias,
+                      make_filter_config)
 from .geometry import CoincidentPointsError, Modality
 from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
@@ -61,9 +61,9 @@ def build_filter_config(kind: str, scenario: Scenario, params: FilterParams) -> 
 
 @dataclass
 class RunResult:
-    """Per-step records of a single run. Series are NaN-padded past an
-    abort point (a ``CoincidentPointsError`` is recorded as an abort; any
-    other error propagates)."""
+    """Per-step records of a single run. Series are NaN-padded from an
+    abort point on (a ``FilterDivergenceError`` is recorded as an abort at
+    its step; any other error propagates)."""
 
     errors: np.ndarray
     bias_r: np.ndarray
@@ -183,7 +183,7 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
             tic = time.perf_counter()
             agent = planner.next_pose(agent, est)
             planner_cost[t] = time.perf_counter() - tic
-        except CoincidentPointsError as exc:
+        except FilterDivergenceError as exc:
             aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
@@ -260,6 +260,9 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
             jobs.append((grid.scenario, fcfg, p, grid.planner_cfg, grid.scenario.seed + i))
 
     if grid.n_jobs > 1:
+        # imported here: multiprocessing adds about 2 MB to every
+        # single-process run that never uses it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=grid.n_jobs) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (8 * grid.n_jobs))))
     else:

@@ -17,6 +17,7 @@ loss + symmetric bearing loss), ``huber`` (symmetric on both), and ``ekf``
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,8 +151,13 @@ def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     grows by ``process_noise * I``."""
     cov = state.cov.copy()
     if process_noise > 0.0:
-        cov[np.diag_indices_from(cov)] += process_noise
+        cov.flat[::STATE_DIM + 1] += process_noise
     return EstimatorState(state.mean.copy(), cov)
+
+
+class FilterDivergenceError(ArithmeticError):
+    """An update produced a non-finite mean or covariance, or a covariance
+    with a non-positive diagonal entry."""
 
 
 def update(state: EstimatorState, z: Measurement,
@@ -162,56 +168,71 @@ def update(state: EstimatorState, z: Measurement,
     recomputes the residual and its M-estimation weight, and applies the
     gain computed from the predicted covariance with the inflated noise
     ``sigma^2 / w``. Covariance is updated once, from the final round, in
-    Joseph form, and symmetrized.
+    Joseph form, exactly symmetric.
+
+    The observation row ``H`` has the position Jacobian in its first two
+    entries and a 1 at the modality's offset, so the rank-one update runs
+    on Python floats: ``PH = P H``, ``S = H^T P H + R_eff``, ``K = PH / S``
+    and the Joseph form ``(I - K H^T) P (I - K H^T)^T + R_eff K K^T``
+    expanded as ``P - K PH^T - PH K^T + S K K^T``.
 
     A measurement taken with the estimate coincident with the agent is
     skipped (state returned unchanged) since the observation model is
-    singular there.
+    singular there. A posterior with a non-finite entry or a non-positive
+    variance raises :class:`FilterDivergenceError`.
     """
-    spec = config.loss_for(z.modality)
-    d_idx = _DELTA_INDEX[z.modality]
-    x0 = state.mean
-    P = state.cov
-
-    H = np.zeros(STATE_DIM)
-    H[d_idx] = 1.0
-    xi = x0
-    K = None
+    modality, agent = z.modality, z.agent
+    is_aoa = modality is Modality.AOA
+    spec = config.loss_for(modality)
+    d = _DELTA_INDEX[modality]
+    h = h_aoa if is_aoa else h_rtt
     sigma2 = spec.sigma**2
+    x0 = state.mean.tolist()
+    P = state.cov.tolist()
+
+    xi = x0
     for _ in range(config.irls_iterations):
         try:
-            if (z.modality is Modality.AOA
-                    and h_rtt(xi[:2], z.agent) < config.min_aoa_range):
-                return state, UpdateDiagnostics(z.modality, skipped=True)
-            pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
-            J = jacobian(z.modality, xi[:2], z.agent)
+            if is_aoa and h_rtt(xi, agent) < config.min_aoa_range:
+                return state, UpdateDiagnostics(modality, skipped=True)
+            pred = h(xi, agent)
+            J = jacobian(modality, xi, agent)
         except CoincidentPointsError:
-            return state, UpdateDiagnostics(z.modality, skipped=True)
-        r = z.value - pred - xi[d_idx]
-        if z.modality is Modality.AOA:
+            return state, UpdateDiagnostics(modality, skipped=True)
+        j0, j1 = J.tolist()
+        r = z.value - pred - xi[d]
+        if is_aoa:
             r = wrap_angle(r)
         w = irls_weight(r, spec)
-        H[IX], H[IY] = J[0], J[1]
-        PH = P @ H
-        S = float(H @ PH) + sigma2 / w
-        K = PH / S
+        PH = [row[0] * j0 + row[1] * j1 + row[d] for row in P]
+        S = j0 * PH[0] + j1 * PH[1] + PH[d] + sigma2 / w
+        K = [v / S for v in PH]
         # relinearized innovation keeps the update anchored at the prior mean
-        xi = x0 + K * (r + float(H @ (xi - x0)))
+        innov = r + (j0 * (xi[0] - x0[0]) + j1 * (xi[1] - x0[1]) + (xi[d] - x0[d]))
+        xi = [x + k * innov for x, k in zip(x0, K)]
 
-    R_eff = sigma2 / w
-    IKH = np.eye(STATE_DIM) - np.outer(K, H)
-    cov = IKH @ P @ IKH.T + np.outer(K, K) * R_eff
-    cov = 0.5 * (cov + cov.T)
-    new_state = EstimatorState(xi, cov)
+    # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor;
+    # the lower triangle mirrors the upper one, so the result is exactly symmetric
+    cov = [[0.0] * STATE_DIM for _ in range(STATE_DIM)]
+    for i in range(STATE_DIM):
+        Pi, Ki, PHi = P[i], K[i], PH[i]
+        for j in range(i, STATE_DIM):
+            cov[i][j] = cov[j][i] = Pi[j] - Ki * PH[j] - PHi * K[j] + S * Ki * K[j]
+    variances = [cov[i][i] for i in range(STATE_DIM)]
+    if not (all(map(math.isfinite, sum(cov, xi)))  # the mean and every covariance entry
+            and min(variances) > 0.0):
+        raise FilterDivergenceError(
+            f"{modality.value} update at step {z.step} gave mean {xi} and variances {variances}")
+    new_state = EstimatorState(np.array(xi), np.array(cov))
 
     # diagnostics carry the final round's residual and weight: the pair that
     # produced the applied gain
     implied = None
-    if z.modality is Modality.RTT and spec.family is LossFamily.ONE_SIDED:
+    if not is_aoa and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)
-    return new_state, UpdateDiagnostics(z.modality, residual=r, weight=w,
+    return new_state, UpdateDiagnostics(modality, residual=r, weight=w,
                                         saturated=w < 1.0, implied_bias=implied,
-                                        jacobian_pos=H[:2].copy())
+                                        jacobian_pos=J)
 
 
 def learned_bias(state: EstimatorState, modality: Modality) -> float:

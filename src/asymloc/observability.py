@@ -46,14 +46,16 @@ class CurvatureReport:
     n_active: int
 
 
-def eig2x2_sym(matrix: np.ndarray) -> tuple[float, float]:
-    """Closed-form eigenvalues (min, max) of a symmetric 2x2 matrix."""
-    a = float(matrix[0, 0])
-    b = float(matrix[0, 1])
-    c = float(matrix[1, 1])
+def _eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues (min, max) of ``[[a, b], [b, c]]``."""
     half_trace = 0.5 * (a + c)
     radius = math.hypot(0.5 * (a - c), b)
     return half_trace - radius, half_trace + radius
+
+
+def eig2x2_sym(matrix: np.ndarray) -> tuple[float, float]:
+    """Closed-form eigenvalues (min, max) of a symmetric 2x2 matrix."""
+    return _eig_sym(float(matrix[0, 0]), float(matrix[0, 1]), float(matrix[1, 1]))
 
 
 def classify_residual(r: float, spec: LossSpec, jacobian: np.ndarray,
@@ -65,22 +67,26 @@ def classify_residual(r: float, spec: LossSpec, jacobian: np.ndarray,
                            weight=w, saturated=(w == 0.0), step=step)
 
 
-def _report_from(matrix: np.ndarray, n_saturated: int, n_active: int,
+def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,
                  mu_threshold: float) -> CurvatureReport:
-    lmin, lmax = eig2x2_sym(matrix)
+    """Report on the curvature matrix ``[[a, b], [b, c]]``."""
+    lmin, lmax = _eig_sym(a, b, c)
     lmin = max(lmin, 0.0)  # PSD by construction; clip fp dust
     lmax = max(lmax, 0.0)
-    return CurvatureReport(matrix=matrix, lambda_min=lmin, lambda_max=lmax,
+    return CurvatureReport(matrix=np.array([[a, b], [b, c]]), lambda_min=lmin, lambda_max=lmax,
                            bilateral=lmin > mu_threshold,
                            n_saturated=n_saturated, n_active=n_active)
 
 
-def _curvature_term(sample: CurvatureSample) -> Optional[np.ndarray]:
-    """The sample's rank-one term ``w * J J^T``, or ``None`` when it carries
-    no curvature (saturated or zero weight)."""
+def _curvature_term(sample: CurvatureSample) -> Optional[tuple[float, float, float]]:
+    """The entries ``(xx, xy, yy)`` of the sample's rank-one term
+    ``w * J J^T``, or ``None`` when it carries no curvature (saturated or
+    zero weight)."""
     if sample.saturated or sample.weight == 0.0:
         return None
-    return sample.weight * np.outer(sample.jacobian, sample.jacobian)
+    j0, j1 = sample.jacobian.tolist()
+    w = sample.weight
+    return w * (j0 * j0), w * (j0 * j1), w * (j1 * j1)
 
 
 def accumulate(samples: Iterable[CurvatureSample],
@@ -92,8 +98,10 @@ def accumulate(samples: Iterable[CurvatureSample],
     """
     terms = [_curvature_term(s) for s in samples]
     active = [term for term in terms if term is not None]
-    return _report_from(sum(active, np.zeros((2, 2))), len(terms) - len(active), len(active),
-                        mu_threshold)
+    a = b = c = 0.0
+    for ta, tb, tc in active:
+        a, b, c = a + ta, b + tb, c + tc
+    return _report_from(a, b, c, len(terms) - len(active), len(active), mu_threshold)
 
 
 def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
@@ -106,9 +114,14 @@ def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
     (non-saturated) and its Jacobian has a component along the previous
     minimum eigenvector -- the geometric payoff of a crossing maneuver.
     """
+    m = before.matrix
+    a, b, c = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
     term = _curvature_term(new_sample)
-    m = before.matrix.copy() if term is None else before.matrix + term
-    after = _report_from(m, before.n_saturated + (term is None),
+    if term is not None:
+        a += term[0]
+        b += term[1]
+        c += term[2]
+    after = _report_from(a, b, c, before.n_saturated + (term is None),
                          before.n_active + (term is not None), mu_threshold)
     return after, after.lambda_min - before.lambda_min
 
@@ -128,8 +141,8 @@ class SlidingCurvatureTracker:
             raise ValueError("window must be >= 1")
         self.window = window
         self.mu_threshold = mu_threshold
-        self._terms: deque[Optional[np.ndarray]] = deque()
-        self._m = np.zeros((2, 2))
+        self._terms: deque[Optional[tuple[float, float, float]]] = deque()
+        self._a = self._b = self._c = 0.0  # running [[a, b], [b, c]]
         self._n_sat = 0
 
     def add(self, sample: CurvatureSample) -> None:
@@ -138,18 +151,22 @@ class SlidingCurvatureTracker:
         if term is None:
             self._n_sat += 1
         else:
-            self._m += term
+            self._a += term[0]
+            self._b += term[1]
+            self._c += term[2]
         if len(self._terms) > self.window:
             old = self._terms.popleft()
             if old is None:
                 self._n_sat -= 1
             else:
-                self._m -= old
+                self._a -= old[0]
+                self._b -= old[1]
+                self._c -= old[2]
 
     def report(self) -> CurvatureReport:
         n_act = len(self._terms) - self._n_sat
-        return _report_from(self._m.copy(), self._n_sat, n_act, self.mu_threshold)
+        return _report_from(self._a, self._b, self._c, self._n_sat, n_act, self.mu_threshold)
 
     def lambda_min(self) -> float:
-        lmin, _ = eig2x2_sym(self._m)
+        lmin, _ = _eig_sym(self._a, self._b, self._c)
         return max(lmin, 0.0)

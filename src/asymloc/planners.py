@@ -53,18 +53,17 @@ def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> np.ndarray:
     from orbiting a converged solution. The step length is exactly ``eta``
     (before arena clamping).
     """
-    a = np.asarray(agent, dtype=float)
-    e = np.asarray(estimate, dtype=float)
-    gap = e - a
-    dist = float(np.hypot(gap[0], gap[1]))
+    ax, ay = float(agent[0]), float(agent[1])
+    ex, ey = float(estimate[0]), float(estimate[1])
+    gx, gy = ex - ax, ey - ay
+    dist = math.hypot(gx, gy)
     if dist < cfg.eps_stop:
-        return a.copy()
-    d = gap / dist
-    crossing_point = e + cfg.ell * d
-    v = crossing_point - a
-    v_norm = float(np.hypot(v[0], v[1]))
-    step = a + cfg.eta * v / v_norm
-    return clamp_to_arena(step, cfg.arena)
+        return np.array([ax, ay])
+    vx = ex + cfg.ell * (gx / dist) - ax
+    vy = ey + cfg.ell * (gy / dist) - ay
+    v_norm = math.hypot(vx, vy)
+    return np.array([min(max(ax + cfg.eta * vx / v_norm, 0.0), cfg.arena),
+                     min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena)])
 
 
 def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
@@ -74,20 +73,22 @@ def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
     with the Jacobians evaluated at (estimate, candidate). Range and
     bearing Jacobians are orthogonal, so using both gives rank 2.
     """
-    e = np.asarray(estimate, dtype=float)
-    c = np.asarray(candidate, dtype=float)
-    dx, dy = e[0] - c[0], e[1] - c[1]
+    dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
     d2 = dx * dx + dy * dy
     if d2 == 0.0:
         raise ValueError("Fisher information undefined for candidate at the estimate")
-    m = np.zeros((2, 2))
+    a = b = c = 0.0
     if Modality.RTT in noise:
-        s2 = noise[Modality.RTT] ** 2
-        m += np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]]) / (d2 * s2)
+        k = d2 * noise[Modality.RTT] ** 2
+        a += dx * dx / k
+        b += dx * dy / k
+        c += dy * dy / k
     if Modality.AOA in noise:
-        s2 = noise[Modality.AOA] ** 2
-        m += np.array([[dy * dy, -dx * dy], [-dx * dy, dx * dx]]) / (d2 * d2 * s2)
-    return m
+        k = d2 * d2 * noise[Modality.AOA] ** 2
+        a += dy * dy / k
+        b -= dx * dy / k
+        c += dx * dx / k
+    return np.array([[a, b], [b, c]])
 
 
 def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
@@ -97,32 +98,41 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
 
     Candidates are ``candidate_count`` headings on the circle of radius
     ``eta`` around the agent, plus staying put (listed last). Candidates
-    outside the arena or coincident with the estimate are excluded; exact
-    ties go to the first surviving candidate. If nothing survives, the
-    agent stays.
-    """
-    a = np.asarray(agent, dtype=float)
-    e = np.asarray(estimate, dtype=float)
-    n = cfg.candidate_count
-    candidates = [a + cfg.eta * np.array([math.cos(t), math.sin(t)])
-                  for t in 2.0 * math.pi * np.arange(n) / n]
-    candidates.append(a.copy())
+    outside the arena or coincident with the estimate are excluded; scores
+    within ``1e-9 * max(1, |best|)`` of the best tie, and ties go to the
+    first surviving candidate. If nothing survives, the agent stays.
 
-    scores = np.full(n + 1, -np.inf)
-    for i, c in enumerate(candidates):
-        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena):
-            continue
-        if c[0] == e[0] and c[1] == e[1]:
-            continue
-        scores[i], _ = eig2x2_sym(fim(e, c, noise))
-    best = float(scores.max())
-    if not np.isfinite(best):
-        return a.copy()
+    With both modalities the score is a standoff rule. At distance ``d``
+    from the estimate the range row contributes ``1/sigma_r^2`` along the
+    radial direction and the bearing row ``1/(d^2 sigma_theta^2)`` along the
+    tangential one, so ``lambda_min = min(1/sigma_r^2, 1/(d^2 sigma_theta^2))``.
+    Every candidate within ``d* = sigma_r / sigma_theta`` of the estimate
+    (43 m on ``canonical_medium``) ties at ``1/sigma_r^2`` and the first
+    such candidate wins; if none is that close, the nearest candidate wins.
+    """
+    ax, ay = float(agent[0]), float(agent[1])
+    e = (float(estimate[0]), float(estimate[1]))
+    n = cfg.candidate_count
+    candidates = []
+    for i in range(n):
+        t = 2.0 * math.pi * i / n
+        candidates.append((ax + cfg.eta * math.cos(t), ay + cfg.eta * math.sin(t)))
+    candidates.append((ax, ay))
+
+    scores = []
+    for c in candidates:
+        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
+            scores.append(-math.inf)
+        else:
+            scores.append(eig2x2_sym(fim(e, c, noise))[0])
+    best = max(scores)
+    if not math.isfinite(best):
+        return np.array([ax, ay])
     # candidates within fp noise of the optimum count as exact ties, so the
     # first-index rule (not rounding artifacts) decides flat regions
     tol = 1e-9 * max(1.0, abs(best))
-    winner = int(np.argmax(scores >= best - tol))
-    return candidates[winner].copy()
+    winner = next(i for i, s in enumerate(scores) if s >= best - tol)
+    return np.array(candidates[winner])
 
 
 class LawnmowerPlanner:

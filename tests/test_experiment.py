@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from asymloc import experiment
 from asymloc.experiment import (FilterParams, GridSpec, RunResult, aggregate,
                                 build_filter_config, format_summary_table, run_grid,
                                 run_single, sweep, write_cell_csv, write_summary_csv,
@@ -115,8 +117,28 @@ class TestRunSingle:
         # no step-0 update: the belief still sits at the arena-centre guess
         assert res.errors[0] == pytest.approx(np.hypot(50.0 - 30.0, 50.0 - 40.0), abs=1e-9)
 
+    def test_divergence_recorded_as_abort_at_its_step(self, monkeypatch):
+        # a NaN range at step k leaves a non-finite posterior: the run stops
+        # there and its series are NaN from k on
+        k = 7
+        observe = experiment.observe_with_draw
+
+        def nan_at_k(scenario, agent, rng, step):
+            m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
+            if step == k:
+                m_rtt = dataclasses.replace(m_rtt, value=math.nan)
+            return m_rtt, m_aoa, draw, clamped
+        monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
+        sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
+        fc = build_filter_config("proposed", sc, FilterParams())
+        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
+        assert res.aborted_at == k
+        assert res.abort_reason.startswith("FilterDivergenceError")
+        assert np.isfinite(res.errors[:k]).all()
+        assert np.isnan(res.errors[k:]).all()
+
     def test_planner_error_propagates(self, monkeypatch):
-        # only coincident geometry is a recorded abort; a fault anywhere else
+        # only a filter divergence is a recorded abort; a fault anywhere else
         # in the loop must not be turned into an aborted run
         def broken(self, agent, estimate=None):
             raise ValueError("planner fault")

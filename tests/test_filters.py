@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from asymloc.filters import (EstimatorState, FilterConfig, Measurement, RobustEkf,
-                             init_state, learned_bias, make_filter_config, predict,
-                             update)
+from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
+                             Measurement, RobustEkf, init_state, learned_bias,
+                             make_filter_config, predict, update)
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, loss
 
@@ -263,6 +265,36 @@ class TestCovarianceHealth:
             st2, _ = update(st, Measurement(mod, value, agent), cfg)
             assert np.array_equal(st2.cov, st2.cov.T)
             assert np.linalg.eigvalsh(st2.cov).min() >= -1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(kind=hst.sampled_from(FILTER_KINDS),
+           a=hst.lists(hst.floats(-3.0, 3.0), min_size=16, max_size=16),
+           log_sd=hst.lists(hst.floats(-2.0, 2.0), min_size=4, max_size=4),
+           pos=hst.tuples(hst.floats(0.0, 100.0), hst.floats(0.0, 100.0)),
+           agent=hst.tuples(hst.floats(0.0, 100.0), hst.floats(0.0, 100.0)),
+           rtt=hst.booleans(), u=hst.floats(0.0, 1.0))
+    def test_posterior_psd_property(self, kind, a, log_sd, pos, agent, rtt, u):
+        # the expanded Joseph form P - K PH^T - PH K^T + S K K^T no longer
+        # carries the (I - K H^T) P (I - K H^T)^T product that made PSD
+        # structural; this pins it over random PSD priors
+        cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+        m = np.array(a).reshape(4, 4)
+        sd = 10.0 ** np.array(log_sd)
+        prior = (m @ m.T + 1e-3 * np.eye(4)) * np.outer(sd, sd)
+        state = EstimatorState(np.array([pos[0], pos[1], 1.0, 0.01]), 0.5 * (prior + prior.T))
+        value = 150.0 * u if rtt else math.pi * (2.0 * u - 1.0)
+        z = Measurement(Modality.RTT if rtt else Modality.AOA, value, agent)
+        cov = update(state, z, cfg)[0].cov
+        assert np.isfinite(cov).all()
+        assert np.array_equal(cov, cov.T)
+        assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.trace(cov)
+
+    @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
+    def test_non_finite_posterior_raises(self, modality):
+        cfg = one_sided_config()
+        st = init_state(cfg, (50.0, 50.0))
+        with pytest.raises(FilterDivergenceError):
+            update(st, Measurement(modality, math.nan, (10.0, 10.0)), cfg)
 
     def test_saturation_degenerates_to_dead_reckoning(self):
         # residuals so large the weight vanishes: covariance must follow the

@@ -1,0 +1,251 @@
+"""The float arithmetic of the closed-loop step against the numpy versions
+it replaced, kept here as references.
+
+``fim`` and ``fim_e_optimal`` do the same IEEE operations in the same
+order, so they must agree exactly. ``reactive_crossing`` moved from
+``np.hypot`` to ``math.hypot``, which may differ in the last bit, so it
+gets 1e-12 m. ``update`` replaced BLAS products by left-to-right float sums
+and expanded the Joseph form, so its mean and covariance get
+``1e-12 * max(1, |ref|)`` per entry, with the same skip and saturation
+decisions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from asymloc.filters import (EstimatorState, Measurement, UpdateDiagnostics, init_state,
+                             make_filter_config, update)
+from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian,
+                              wrap_angle)
+from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
+from asymloc.observability import eig2x2_sym
+from asymloc.planners import PlannerConfig, fim, fim_e_optimal, reactive_crossing
+
+NOISE = {Modality.RTT: 1.5, Modality.AOA: math.radians(2.0)}
+_DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
+
+
+# ---------------------------------------------------------------------------
+# numpy references
+# ---------------------------------------------------------------------------
+
+def ref_update(state, z, config):
+    spec = config.loss_for(z.modality)
+    d_idx = _DELTA_INDEX[z.modality]
+    x0 = state.mean
+    P = state.cov
+
+    H = np.zeros(4)
+    H[d_idx] = 1.0
+    xi = x0
+    K = None
+    sigma2 = spec.sigma**2
+    for _ in range(config.irls_iterations):
+        try:
+            if (z.modality is Modality.AOA
+                    and h_rtt(xi[:2], z.agent) < config.min_aoa_range):
+                return state, UpdateDiagnostics(z.modality, skipped=True)
+            pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
+            J = jacobian(z.modality, xi[:2], z.agent)
+        except CoincidentPointsError:
+            return state, UpdateDiagnostics(z.modality, skipped=True)
+        r = z.value - pred - xi[d_idx]
+        if z.modality is Modality.AOA:
+            r = wrap_angle(r)
+        w = irls_weight(r, spec)
+        H[0], H[1] = J[0], J[1]
+        PH = P @ H
+        S = float(H @ PH) + sigma2 / w
+        K = PH / S
+        xi = x0 + K * (r + float(H @ (xi - x0)))
+
+    R_eff = sigma2 / w
+    IKH = np.eye(4) - np.outer(K, H)
+    cov = IKH @ P @ IKH.T + np.outer(K, K) * R_eff
+    cov = 0.5 * (cov + cov.T)
+    implied = None
+    if z.modality is Modality.RTT and spec.family is LossFamily.ONE_SIDED:
+        implied = soft_threshold_bias(r, spec)
+    return EstimatorState(xi, cov), UpdateDiagnostics(z.modality, residual=r, weight=w,
+                                                      saturated=w < 1.0, implied_bias=implied,
+                                                      jacobian_pos=H[:2].copy())
+
+
+def ref_reactive_crossing(agent, estimate, cfg):
+    a = np.asarray(agent, dtype=float)
+    e = np.asarray(estimate, dtype=float)
+    gap = e - a
+    dist = float(np.hypot(gap[0], gap[1]))
+    if dist < cfg.eps_stop:
+        return a.copy()
+    d = gap / dist
+    crossing_point = e + cfg.ell * d
+    v = crossing_point - a
+    v_norm = float(np.hypot(v[0], v[1]))
+    step = a + cfg.eta * v / v_norm
+    return np.clip(step, 0.0, cfg.arena)
+
+
+def ref_fim(estimate, candidate, noise):
+    e = np.asarray(estimate, dtype=float)
+    c = np.asarray(candidate, dtype=float)
+    dx, dy = e[0] - c[0], e[1] - c[1]
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ValueError("Fisher information undefined for candidate at the estimate")
+    m = np.zeros((2, 2))
+    if Modality.RTT in noise:
+        s2 = noise[Modality.RTT] ** 2
+        m += np.array([[dx * dx, dx * dy], [dx * dy, dy * dy]]) / (d2 * s2)
+    if Modality.AOA in noise:
+        s2 = noise[Modality.AOA] ** 2
+        m += np.array([[dy * dy, -dx * dy], [-dx * dy, dx * dx]]) / (d2 * d2 * s2)
+    return m
+
+
+def ref_fim_e_optimal(agent, estimate, cfg, noise):
+    a = np.asarray(agent, dtype=float)
+    e = np.asarray(estimate, dtype=float)
+    n = cfg.candidate_count
+    candidates = [a + cfg.eta * np.array([math.cos(t), math.sin(t)])
+                  for t in 2.0 * math.pi * np.arange(n) / n]
+    candidates.append(a.copy())
+
+    scores = np.full(n + 1, -np.inf)
+    for i, c in enumerate(candidates):
+        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena):
+            continue
+        if c[0] == e[0] and c[1] == e[1]:
+            continue
+        scores[i], _ = eig2x2_sym(ref_fim(e, c, noise))
+    best = float(scores.max())
+    if not np.isfinite(best):
+        return a.copy()
+    tol = 1e-9 * max(1.0, abs(best))
+    winner = int(np.argmax(scores >= best - tol))
+    return candidates[winner].copy()
+
+
+# ---------------------------------------------------------------------------
+# parity
+# ---------------------------------------------------------------------------
+
+NOISES = [NOISE, {Modality.RTT: 1.5}, {Modality.AOA: 0.035}]
+
+
+class TestPlannerParity:
+    def test_fim_bit_identical(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            e, c = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
+            for noise in NOISES:
+                got = fim((float(e[0]), float(e[1])), (float(c[0]), float(c[1])), noise)
+                assert np.array_equal(got, ref_fim(e, c, noise))
+
+    def test_fim_e_optimal_bit_identical(self):
+        rng = np.random.default_rng(12)
+        cfgs = [PlannerConfig(), PlannerConfig(eta=3.0, candidate_count=7, arena=60.0)]
+        for i in range(1500):
+            cfg = cfgs[i % 2]
+            agent = rng.uniform(-2.0, cfg.arena + 2.0, 2)
+            # estimates near, at and far from the agent, so exclusions, the
+            # standoff ties and the nearest-candidate rule all occur
+            est = agent + rng.normal(0.0, [1.0, 10.0, 60.0][i % 3], 2)
+            if i % 50 == 0:
+                est = agent.copy()
+            for noise in NOISES:
+                got = fim_e_optimal(agent, est, cfg, noise)
+                assert np.array_equal(got, ref_fim_e_optimal(agent, est, cfg, noise))
+
+    def test_reactive_crossing_within_1e12_m(self):
+        rng = np.random.default_rng(13)
+        cfgs = [PlannerConfig(), PlannerConfig(eta=7.0, ell=5.0, eps_stop=0.5, arena=50.0)]
+        for i in range(5000):
+            cfg = cfgs[i % 2]
+            agent = rng.uniform(0.0, cfg.arena, 2)
+            est = agent + rng.normal(0.0, [0.3, 5.0, 80.0][i % 3], 2)
+            got = reactive_crossing(agent, est, cfg)
+            np.testing.assert_allclose(got, ref_reactive_crossing(agent, est, cfg),
+                                       rtol=0.0, atol=1e-12)
+
+
+def random_prior(rng, scale):
+    """A PSD prior at the filter's scales: position spread ``scale``,
+    range offset up to 2 m, bearing offset up to 5 degrees, correlated."""
+    sd = np.array([scale, scale, rng.uniform(0.1, 2.0), rng.uniform(0.002, 0.09)])
+    a = rng.normal(0.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
+    corr = a @ a.T
+    corr = corr / np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
+    cov = corr * np.outer(sd, sd)
+    return 0.5 * (cov + cov.T)
+
+
+def assert_update_parity(state, z, cfg):
+    got, gd = update(state.copy(), z, cfg)
+    want, wd = ref_update(state.copy(), z, cfg)
+    assert (gd.skipped, gd.saturated) == (wd.skipped, wd.saturated)
+    for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), (g - w, w)
+    return gd
+
+
+@pytest.mark.parametrize("kind", ["proposed", "huber", "ekf"])
+class TestUpdateParity:
+    def test_random_updates(self, kind):
+        rng = np.random.default_rng(21)
+        cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+        saturated = 0
+        for i in range(3000):
+            mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
+            scale = [0.05, 1.0, 10.0, 40.0][i % 4]
+            state = EstimatorState(mean, random_prior(rng, scale))
+            agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
+            truth = mean[:2] + rng.normal(0, scale, 2)
+            if h_rtt(truth, agent) < 1e-3:
+                continue
+            if i % 2 == 0:
+                value = h_rtt(truth, agent) + rng.normal(0, 1.5) + rng.exponential(8.0) * (i % 3 == 0)
+                z = Measurement(Modality.RTT, float(value), agent)
+            else:
+                value = wrap_angle(h_aoa(truth, agent) + rng.normal(0, 0.035)
+                                   + rng.normal(0, 0.3) * (i % 3 == 0))
+                z = Measurement(Modality.AOA, float(value), agent)
+            saturated += assert_update_parity(state, z, cfg).saturated
+        if kind != "ekf":
+            assert saturated > 100
+
+    def test_first_update_from_the_wide_initial_prior(self, kind):
+        rng = np.random.default_rng(22)
+        cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+        for _ in range(500):
+            state = init_state(cfg, rng.uniform(0, 100, 2))
+            agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
+            truth = rng.uniform(0, 100, 2)
+            for z in (Measurement(Modality.RTT, h_rtt(truth, agent) + float(rng.normal(0, 1.5)), agent),
+                      Measurement(Modality.AOA, h_aoa(truth, agent), agent)):
+                assert_update_parity(state, z, cfg)
+
+    def test_aoa_residual_near_pi(self, kind):
+        # the raw residual sits just inside or outside +-pi, so the wrap
+        # decides its sign; both versions must make the same decision
+        cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+        rng = np.random.default_rng(23)
+        for i in range(400):
+            state = EstimatorState(np.array([50.0, 50.0, 0.0, float(rng.normal(0, 0.01))]),
+                                   random_prior(rng, 2.0))
+            agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
+            pred = h_aoa(state.mean[:2], agent) + state.mean[3]
+            eps = float(rng.choice([-1e-9, 1e-12, 1e-6, -1e-3]))
+            value = wrap_angle(pred + (math.pi if i % 2 else -math.pi) + eps)
+            assert_update_parity(state, Measurement(Modality.AOA, value, agent), cfg)
+
+    def test_skips(self, kind):
+        cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+        state = init_state(cfg, (30.0, 40.0))
+        # AoA from under the minimum range, and RTT from the estimate itself
+        d = assert_update_parity(state, Measurement(Modality.AOA, 0.2, (30.5, 40.0)), cfg)
+        assert d.skipped
+        d = assert_update_parity(state, Measurement(Modality.RTT, 3.0, (30.0, 40.0)), cfg)
+        assert d.skipped

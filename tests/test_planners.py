@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from asymloc.geometry import Modality
+from asymloc.observability import eig2x2_sym
 from asymloc.planners import (FimPlanner, LawnmowerPlanner, PlannerConfig,
                               ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                               reactive_crossing)
@@ -79,6 +80,36 @@ class TestFim:
         ev_far = np.linalg.eigvalsh(far)
         assert ev_near[0] == pytest.approx(0.0, abs=1e-15)
         assert ev_far[1] == pytest.approx(ev_near[1] / 4.0, rel=1e-12)
+
+    def test_lambda_min_closed_form(self):
+        # range information 1/sigma_r^2 lies along the radial direction and
+        # bearing information 1/(d^2 sigma_theta^2) along the tangential one:
+        # the basis of fim_e_optimal's standoff rule. From 1 m out, the
+        # closed-form eigenvalue keeps 1e-12 relative accuracy (nearer, the
+        # bearing term outgrows the range term and the subtraction in
+        # eig2x2_sym loses digits in proportion)
+        rng = np.random.default_rng(8)
+        s_r, s_t = NOISE[Modality.RTT], NOISE[Modality.AOA]
+        checked = 0
+        for _ in range(20_000):
+            e, c = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
+            d2 = float((e[0] - c[0]) ** 2 + (e[1] - c[1]) ** 2)
+            if d2 < 1.0:
+                continue
+            lmin, _ = eig2x2_sym(fim(e, c, NOISE))
+            want = min(1.0 / s_r**2, 1.0 / (d2 * s_t**2))
+            assert abs(lmin - want) <= 1e-12 * want
+            checked += 1
+        assert checked > 19_000
+
+    @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
+    def test_single_modality_lambda_min_is_zero(self, modality):
+        rng = np.random.default_rng(9)
+        noise = {modality: NOISE[modality]}
+        for _ in range(2000):
+            e, c = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
+            lmin, lmax = eig2x2_sym(fim(e, c, noise))
+            assert abs(lmin) <= 1e-12 * lmax
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
