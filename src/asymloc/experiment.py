@@ -23,8 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .filters import (FILTER_KINDS, FilterConfig, FilterDivergenceError, RobustEkf, learned_bias,
-                      make_filter_config)
+from .filters import FILTER_KINDS, FilterConfig, FilterDivergenceError, RobustEkf, make_filter_config
 from .geometry import CoincidentPointsError, Modality
 from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
@@ -132,7 +131,7 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     """
     rng = np.random.default_rng(run_seed)
     steps = scenario.steps
-    truth = np.asarray(scenario.truth, dtype=float)
+    tx, ty = float(scenario.truth[0]), float(scenario.truth[1])
     agent = np.asarray(scenario.start, dtype=float)
     # seed the belief by backprojecting the first range/bearing pair from the
     # start pose; the wide init_position_std keeps the prior weak, and the
@@ -174,14 +173,13 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                 for diag, spec in ((d_rtt, filt.config.rtt_loss), (d_aoa, filt.config.aoa_loss)):
                     if not diag.skipped:
                         tracker.add(classify_residual(diag.residual, spec, diag.jacobian_pos, t))
-            est = filt.state.position
-            errors[t] = float(np.hypot(est[0] - truth[0], est[1] - truth[1]))
-            bias_r[t] = learned_bias(filt.state, Modality.RTT)
-            bias_theta[t] = learned_bias(filt.state, Modality.AOA)
+            ex, ey, bias_r[t], bias_theta[t] = filt.state.mean.tolist()
+            # np.hypot, not math.hypot: the two may differ in the last bit
+            errors[t] = np.hypot(ex - tx, ey - ty)
             lambda_min[t] = tracker.lambda_min()
             trajectory[t] = agent
             tic = time.perf_counter()
-            agent = planner.next_pose(agent, est)
+            agent = planner.next_pose(agent, (ex, ey))
             planner_cost[t] = time.perf_counter() - tic
         except FilterDivergenceError as exc:
             aborted_at = t
@@ -238,6 +236,14 @@ class CellResult:
     @property
     def combination(self) -> str:
         return f"{self.filter_kind} ({self.planner_kind})"
+
+    @property
+    def live_runs(self) -> list[int]:
+        """Per step, the number of runs not yet aborted: the runs that each
+        step of the metrics' series averages over (``nanmean`` skips the
+        aborted ones)."""
+        ends = [len(r.errors) if r.aborted_at is None else r.aborted_at for r in self.runs]
+        return [sum(t < end for end in ends) for t in range(len(self.runs[0].errors))]
 
 
 def _run_job(args) -> RunResult:

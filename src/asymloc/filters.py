@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian, wrap_angle
+from .geometry import CoincidentPointsError, Modality, linearize, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
@@ -33,7 +33,12 @@ STATE_DIM = 4
 
 FILTER_KINDS = ("proposed", "huber", "ekf")
 
-_DELTA_INDEX = {Modality.RTT: IDR, Modality.AOA: IDT}
+# the covariance's 10 distinct entries, row by row from the diagonal: their
+# (i, j), the positions of the variances, and each of the 16 entries' position
+_UPPER = [(i, j) for i in range(STATE_DIM) for j in range(i, STATE_DIM)]
+_UPPER_DIAGONAL = [k for k, (i, j) in enumerate(_UPPER) if i == j]
+_UPPER_INDEX = np.array([[_UPPER.index((min(i, j), max(i, j))) for j in range(STATE_DIM)]
+                         for i in range(STATE_DIM)])
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,6 @@ class EstimatorState:
 
     def copy(self) -> "EstimatorState":
         return EstimatorState(self.mean.copy(), self.cov.copy())
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[:2].copy()
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,11 @@ class FilterConfig:
 class UpdateDiagnostics:
     """What a single measurement update did.
 
-    ``residual`` and ``weight`` are evaluated at the posterior mean (the
-    final linearization point). ``implied_bias`` is the solved non-negative
-    range bias for one-sided RTT updates, ``None`` otherwise. ``skipped``
-    marks measurements dropped because agent and estimate coincide.
+    ``residual``, ``weight`` and the position Jacobian ``jacobian_pos`` (a
+    float pair) are those of the final linearization point. ``implied_bias``
+    is the solved non-negative range bias for one-sided RTT updates,
+    ``None`` otherwise. ``skipped`` marks measurements dropped because
+    agent and estimate coincide.
     """
 
     modality: Modality
@@ -108,7 +110,7 @@ class UpdateDiagnostics:
     weight: float = 1.0
     saturated: bool = False
     implied_bias: Optional[float] = None
-    jacobian_pos: Optional[np.ndarray] = None
+    jacobian_pos: Optional[tuple[float, float]] = None
     skipped: bool = False
 
 
@@ -183,9 +185,7 @@ def update(state: EstimatorState, z: Measurement,
     """
     modality, agent = z.modality, z.agent
     is_aoa = modality is Modality.AOA
-    spec = config.loss_for(modality)
-    d = _DELTA_INDEX[modality]
-    h = h_aoa if is_aoa else h_rtt
+    spec, d = (config.aoa_loss, IDT) if is_aoa else (config.rtt_loss, IDR)
     sigma2 = spec.sigma**2
     x0 = state.mean.tolist()
     P = state.cov.tolist()
@@ -193,13 +193,11 @@ def update(state: EstimatorState, z: Measurement,
     xi = x0
     for _ in range(config.irls_iterations):
         try:
-            if is_aoa and h_rtt(xi, agent) < config.min_aoa_range:
-                return state, UpdateDiagnostics(modality, skipped=True)
-            pred = h(xi, agent)
-            J = jacobian(modality, xi, agent)
+            pred, dist, j0, j1 = linearize(xi, agent, is_aoa)
         except CoincidentPointsError:
             return state, UpdateDiagnostics(modality, skipped=True)
-        j0, j1 = J.tolist()
+        if is_aoa and dist < config.min_aoa_range:
+            return state, UpdateDiagnostics(modality, skipped=True)
         r = z.value - pred - xi[d]
         if is_aoa:
             r = wrap_angle(r)
@@ -212,32 +210,28 @@ def update(state: EstimatorState, z: Measurement,
         xi = [x + k * innov for x, k in zip(x0, K)]
 
     # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor;
-    # the lower triangle mirrors the upper one, so the result is exactly symmetric
-    cov = [[0.0] * STATE_DIM for _ in range(STATE_DIM)]
-    for i in range(STATE_DIM):
-        Pi, Ki, PHi = P[i], K[i], PH[i]
-        for j in range(i, STATE_DIM):
-            cov[i][j] = cov[j][i] = Pi[j] - Ki * PH[j] - PHi * K[j] + S * Ki * K[j]
-    variances = [cov[i][i] for i in range(STATE_DIM)]
-    if not (all(map(math.isfinite, sum(cov, xi)))  # the mean and every covariance entry
+    # the 10 distinct entries fill both triangles, so the result is exactly symmetric
+    upper = [P[i][j] - K[i] * PH[j] - PH[i] * K[j] + S * K[i] * K[j] for i, j in _UPPER]
+    variances = [upper[k] for k in _UPPER_DIAGONAL]
+    if not (all(map(math.isfinite, xi)) and all(map(math.isfinite, upper))
             and min(variances) > 0.0):
         raise FilterDivergenceError(
             f"{modality.value} update at step {z.step} gave mean {xi} and variances {variances}")
-    new_state = EstimatorState(np.array(xi), np.array(cov))
+    new_state = EstimatorState(np.array(xi), np.array(upper)[_UPPER_INDEX])
 
-    # diagnostics carry the final round's residual and weight: the pair that
-    # produced the applied gain
+    # diagnostics carry the final round's residual, weight and Jacobian: the
+    # ones that produced the applied gain
     implied = None
     if not is_aoa and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)
     return new_state, UpdateDiagnostics(modality, residual=r, weight=w,
                                         saturated=w < 1.0, implied_bias=implied,
-                                        jacobian_pos=J)
+                                        jacobian_pos=(j0, j1))
 
 
 def learned_bias(state: EstimatorState, modality: Modality) -> float:
     """Current estimate of the systematic offset for a modality."""
-    return float(state.mean[_DELTA_INDEX[modality]])
+    return float(state.mean[IDT if modality is Modality.AOA else IDR])
 
 
 class RobustEkf:

@@ -3,8 +3,9 @@
 The world is a flat 2D plane (nadir-view abstraction: the agent flies at a
 known, constant altitude, so the vertical axis never enters the math). This
 module provides the observation functions for the two sensor modalities,
-their position Jacobians, and angle arithmetic. A point is anything
-indexable as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or a numpy array.
+their position Jacobians, both in one call for the filter's update
+(:func:`linearize`), and angle arithmetic. A point is anything indexable
+as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or a numpy array.
 """
 
 from __future__ import annotations
@@ -48,30 +49,49 @@ def h_aoa(target, agent) -> float:
     return math.atan2(dy, dx)
 
 
-def jacobian(modality: Modality, target, agent) -> np.ndarray:
-    """Gradient of the observation function w.r.t. the target position.
+def linearize(target, agent, bearing: bool = False) -> tuple[float, float, float, float]:
+    """The observation at ``target`` seen from ``agent`` and its position
+    Jacobian, from one distance evaluation: ``(prediction, range, j0, j1)``.
 
-    RTT: the unit radial vector u = (target - agent) / d.
-    AOA: the unit tangential vector (u rotated +90 degrees) scaled by 1/d.
-
-    The two directions are orthogonal by construction; only the AoA
-    magnitude decays with distance.
+    The prediction is the range (:func:`h_rtt`), or with ``bearing`` the
+    bearing (:func:`h_aoa`). The Jacobian is the gradient of the prediction
+    w.r.t. the target position. For range it is the unit radial vector
+    u = (target - agent) / d. For bearing it is the unit tangential vector
+    (u rotated +90 degrees) scaled by 1/d. The two directions are orthogonal
+    by construction; only the bearing magnitude decays with distance.
 
     Raises
     ------
     CoincidentPointsError
-        If d = 0 (both Jacobians singular there).
+        If d = 0 (bearing and both Jacobians undefined there), or for the
+        bearing if ``d * d`` underflows to 0 (its Jacobian overflows).
     """
     dx, dy = target[0] - agent[0], target[1] - agent[1]
     d = math.hypot(dx, dy)
     if d == 0.0:
         raise CoincidentPointsError("Jacobian undefined for coincident target/agent")
-    if modality is Modality.RTT:
-        return np.array([dx / d, dy / d])
-    if modality is Modality.AOA:
+    if bearing:
         # tangential direction / distance: grad atan2 = (-dy, dx) / d^2
-        return np.array([-dy / (d * d), dx / (d * d)])
-    raise ValueError(f"unknown modality: {modality!r}")
+        d2 = d * d
+        if d2 == 0.0:
+            raise CoincidentPointsError("bearing Jacobian overflows at this distance")
+        return math.atan2(dy, dx), d, -dy / d2, dx / d2
+    return d, d, dx / d, dy / d
+
+
+def jacobian(modality: Modality, target, agent) -> np.ndarray:
+    """Gradient of the observation function w.r.t. the target position, as
+    a length-2 array (see :func:`linearize`).
+
+    Raises
+    ------
+    CoincidentPointsError
+        Where :func:`linearize` raises it (d = 0, both Jacobians singular).
+    """
+    if not isinstance(modality, Modality):
+        raise ValueError(f"unknown modality: {modality!r}")
+    _, _, j0, j1 = linearize(target, agent, modality is Modality.AOA)
+    return np.array([j0, j1])
 
 
 def wrap_angle(a: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import math
 
@@ -25,10 +25,11 @@ from .losses import LossSpec, loss_curvature
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """One measurement's curvature contribution: position Jacobian, second
-    derivative weight, and whether the residual was saturated."""
+    """One measurement's curvature contribution: position Jacobian (any
+    2-sequence: a float pair or an array), second derivative weight, and
+    whether the residual was saturated."""
 
-    jacobian: np.ndarray
+    jacobian: Sequence[float]
     weight: float
     saturated: bool
     step: int = 0
@@ -58,13 +59,12 @@ def eig2x2_sym(matrix: np.ndarray) -> tuple[float, float]:
     return _eig_sym(float(matrix[0, 0]), float(matrix[0, 1]), float(matrix[1, 1]))
 
 
-def classify_residual(r: float, spec: LossSpec, jacobian: np.ndarray,
+def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float],
                       step: int = 0) -> CurvatureSample:
     """Turn a residual into a curvature sample: weight is the loss's second
     derivative at ``r``; zero weight marks the sample saturated."""
     w = loss_curvature(r, spec)
-    return CurvatureSample(jacobian=np.asarray(jacobian, dtype=float),
-                           weight=w, saturated=(w == 0.0), step=step)
+    return CurvatureSample(jacobian=jacobian, weight=w, saturated=(w == 0.0), step=step)
 
 
 def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,
@@ -84,7 +84,7 @@ def _curvature_term(sample: CurvatureSample) -> Optional[tuple[float, float, flo
     zero weight)."""
     if sample.saturated or sample.weight == 0.0:
         return None
-    j0, j1 = sample.jacobian.tolist()
+    j0, j1 = sample.jacobian
     w = sample.weight
     return w * (j0 * j0), w * (j0 * j1), w * (j1 * j1)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import Modality
 from .knobs import check, knob
-from .observability import eig2x2_sym
+from .observability import _eig_sym
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class PlannerConfig:
 
     def __post_init__(self):
         check(self)
-
-
-def clamp_to_arena(pose: np.ndarray, arena: float) -> np.ndarray:
-    return np.clip(pose, 0.0, arena)
 
 
 def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> np.ndarray:
@@ -66,6 +62,28 @@ def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> np.ndarray:
                      min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena)])
 
 
+def _fim_entries(estimate, candidate, sigma_r: Optional[float],
+                 sigma_theta: Optional[float]) -> tuple[float, float, float]:
+    """The entries ``(a, b, c)`` of the Fisher matrix ``[[a, b], [b, c]]``
+    (see :func:`fim`); a modality whose scale is ``None`` is absent."""
+    dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ValueError("Fisher information undefined for candidate at the estimate")
+    a = b = c = 0.0
+    if sigma_r is not None:
+        k = d2 * sigma_r ** 2
+        a += dx * dx / k
+        b += dx * dy / k
+        c += dy * dy / k
+    if sigma_theta is not None:
+        k = d2 * d2 * sigma_theta ** 2
+        a += dy * dy / k
+        b -= dx * dy / k
+        c += dx * dx / k
+    return a, b, c
+
+
 def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
     """Single-measurement Fisher information of the position, 2x2.
 
@@ -73,21 +91,7 @@ def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
     with the Jacobians evaluated at (estimate, candidate). Range and
     bearing Jacobians are orthogonal, so using both gives rank 2.
     """
-    dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        raise ValueError("Fisher information undefined for candidate at the estimate")
-    a = b = c = 0.0
-    if Modality.RTT in noise:
-        k = d2 * noise[Modality.RTT] ** 2
-        a += dx * dx / k
-        b += dx * dy / k
-        c += dy * dy / k
-    if Modality.AOA in noise:
-        k = d2 * d2 * noise[Modality.AOA] ** 2
-        a += dy * dy / k
-        b -= dx * dy / k
-        c += dx * dx / k
+    a, b, c = _fim_entries(estimate, candidate, noise.get(Modality.RTT), noise.get(Modality.AOA))
     return np.array([[a, b], [b, c]])
 
 
@@ -112,6 +116,7 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
     """
     ax, ay = float(agent[0]), float(agent[1])
     e = (float(estimate[0]), float(estimate[1]))
+    sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
     n = cfg.candidate_count
     candidates = []
     for i in range(n):
@@ -124,7 +129,7 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
         if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
             scores.append(-math.inf)
         else:
-            scores.append(eig2x2_sym(fim(e, c, noise))[0])
+            scores.append(_eig_sym(*_fim_entries(e, c, sigma_r, sigma_theta))[0])
     best = max(scores)
     if not math.isfinite(best):
         return np.array([ax, ay])
@@ -147,17 +152,17 @@ class LawnmowerPlanner:
         self._dy = 1.0
 
     def next_pose(self, agent, estimate=None) -> np.ndarray:
-        a = np.asarray(agent, dtype=float)
+        ax, ay = float(agent[0]), float(agent[1])
         cfg = self.cfg
-        nx = a[0] + self._dx * cfg.eta
+        nx = ax + self._dx * cfg.eta
         if 0.0 <= nx <= cfg.arena:
-            return np.array([nx, a[1]])
-        ny = a[1] + self._dy * cfg.lawnmower_spacing
+            return np.array([nx, ay])
+        ny = ay + self._dy * cfg.lawnmower_spacing
         if not 0.0 <= ny <= cfg.arena:
             self._dy = -self._dy
-            ny = a[1] + self._dy * cfg.lawnmower_spacing
+            ny = ay + self._dy * cfg.lawnmower_spacing
         self._dx = -self._dx
-        return clamp_to_arena(np.array([a[0], ny]), cfg.arena)
+        return np.array([min(max(ax, 0.0), cfg.arena), min(max(ny, 0.0), cfg.arena)])
 
 
 class ReactiveCrossingPlanner:

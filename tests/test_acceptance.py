@@ -37,11 +37,21 @@ def canonical_grid():
                     n_runs=50, threshold=2.5, n_jobs=2)
 
 
+def assert_no_aborts(results, grid):
+    # the metrics' nanmean would silently average over the surviving runs
+    for cell in results.values():
+        assert cell.live_runs == [grid.n_runs] * grid.scenario.steps, (
+            cell.combination, [r.abort_reason for r in cell.runs if r.aborted_at is not None])
+
+
 @pytest.fixture(scope="session")
 def canonical():
+    grid = canonical_grid()
     tic = time.perf_counter()
-    results = run_grid(canonical_grid())
-    return results, time.perf_counter() - tic
+    results = run_grid(grid)
+    elapsed = time.perf_counter() - tic
+    assert_no_aborts(results, grid)
+    return results, elapsed
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +59,9 @@ def obstacle():
     grid = GridSpec(scenario=get_preset("obstacle"),
                     filters=("proposed",), planners=("reactive", "fim"),
                     n_runs=50, threshold=2.5, n_jobs=2)
-    return run_grid(grid)
+    results = run_grid(grid)
+    assert_no_aborts(results, grid)
+    return results
 
 
 def test_criterion_01_loss_layer_analytics():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asymloc import experiment
-from asymloc.experiment import (FilterParams, GridSpec, RunResult, aggregate,
+from asymloc.experiment import (CellResult, FilterParams, GridSpec, RunResult, aggregate,
                                 build_filter_config, format_summary_table, run_grid,
                                 run_single, sweep, write_cell_csv, write_summary_csv,
                                 write_sweep_csv)
@@ -57,6 +57,24 @@ class TestAggregate:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             aggregate([], threshold=2.5)
+
+    def test_live_runs_count_the_runs_each_step_averages(self):
+        # a run aborted at step 1 is NaN from there on, so from step 1 the
+        # RMSE is the survivor's alone; live_runs says how many runs each
+        # step averages, while n_runs keeps counting both
+        survivor = make_run([1.0, 3.0, 3.0])
+        aborted = make_run([2.0, math.nan, math.nan])
+        aborted.aborted_at = 1
+        runs = [survivor, aborted]
+        cell = CellResult("proposed", "passive", aggregate(runs, threshold=2.5), runs)
+        assert cell.metrics.n_runs == 2
+        assert cell.metrics.rmse_series[1] == 3.0
+        assert cell.live_runs == [2, 1, 1]
+
+    def test_live_runs_without_aborts(self):
+        runs = [make_run([1.0, 2.0]), make_run([3.0, 4.0]), make_run([5.0, 6.0])]
+        cell = CellResult("huber", "fim", aggregate(runs, threshold=2.5), runs)
+        assert cell.live_runs == [3, 3]
 
 
 class TestRunSingle:

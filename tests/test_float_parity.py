@@ -1,24 +1,30 @@
-"""The float arithmetic of the closed-loop step against the numpy versions
-it replaced, kept here as references.
+"""The float arithmetic of the closed-loop step against the versions it
+replaced, kept here as references.
 
 ``fim`` and ``fim_e_optimal`` do the same IEEE operations in the same
-order, so they must agree exactly. ``reactive_crossing`` moved from
-``np.hypot`` to ``math.hypot``, which may differ in the last bit, so it
-gets 1e-12 m. ``update`` replaced BLAS products by left-to-right float sums
-and expanded the Joseph form, so its mean and covariance get
-``1e-12 * max(1, |ref|)`` per entry, with the same skip and saturation
-decisions.
+order as the numpy versions, so they must agree exactly. ``reactive_crossing``
+moved from ``np.hypot`` to ``math.hypot``, which may differ in the last
+bit, so it gets 1e-12 m. ``update`` replaced BLAS products by
+left-to-right float sums and expanded the Joseph form, so against the numpy
+version its mean and covariance get ``1e-12 * max(1, |ref|)`` per entry,
+with the same skip and saturation decisions. Against the float update that
+linearized through ``h_rtt``/``h_aoa`` and ``jacobian`` (``ref_float_update``)
+it does the same operations in the same order, so everything must be equal
+bit for bit, and so must :func:`linearize` against those functions.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asymloc.filters import (EstimatorState, Measurement, UpdateDiagnostics, init_state,
-                             make_filter_config, update)
+from asymloc.filters import (EstimatorState, FilterDivergenceError, Measurement,
+                             UpdateDiagnostics, init_state, make_filter_config, update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian,
-                              wrap_angle)
+                              linearize, wrap_angle)
 from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
 from asymloc.observability import eig2x2_sym
 from asymloc.planners import PlannerConfig, fim, fim_e_optimal, reactive_crossing
@@ -48,7 +54,7 @@ def ref_update(state, z, config):
                     and h_rtt(xi[:2], z.agent) < config.min_aoa_range):
                 return state, UpdateDiagnostics(z.modality, skipped=True)
             pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
-            J = jacobian(z.modality, xi[:2], z.agent)
+            J = ref_jacobian(z.modality, xi[:2], z.agent)
         except CoincidentPointsError:
             return state, UpdateDiagnostics(z.modality, skipped=True)
         r = z.value - pred - xi[d_idx]
@@ -71,6 +77,62 @@ def ref_update(state, z, config):
     return EstimatorState(xi, cov), UpdateDiagnostics(z.modality, residual=r, weight=w,
                                                       saturated=w < 1.0, implied_bias=implied,
                                                       jacobian_pos=H[:2].copy())
+
+
+def ref_jacobian(modality, target, agent):
+    dx, dy = target[0] - agent[0], target[1] - agent[1]
+    d = math.hypot(dx, dy)
+    if d == 0.0:
+        raise CoincidentPointsError("Jacobian undefined for coincident target/agent")
+    if modality is Modality.RTT:
+        return np.array([dx / d, dy / d])
+    return np.array([-dy / (d * d), dx / (d * d)])
+
+
+def ref_float_update(state, z, config):
+    modality, agent = z.modality, z.agent
+    is_aoa = modality is Modality.AOA
+    spec = config.loss_for(modality)
+    d = _DELTA_INDEX[modality]
+    h = h_aoa if is_aoa else h_rtt
+    sigma2 = spec.sigma**2
+    x0 = state.mean.tolist()
+    P = state.cov.tolist()
+
+    xi = x0
+    for _ in range(config.irls_iterations):
+        try:
+            if is_aoa and h_rtt(xi, agent) < config.min_aoa_range:
+                return state, UpdateDiagnostics(modality, skipped=True)
+            pred = h(xi, agent)
+            J = ref_jacobian(modality, xi, agent)
+        except CoincidentPointsError:
+            return state, UpdateDiagnostics(modality, skipped=True)
+        j0, j1 = J.tolist()
+        r = z.value - pred - xi[d]
+        if is_aoa:
+            r = wrap_angle(r)
+        w = irls_weight(r, spec)
+        PH = [row[0] * j0 + row[1] * j1 + row[d] for row in P]
+        S = j0 * PH[0] + j1 * PH[1] + PH[d] + sigma2 / w
+        K = [v / S for v in PH]
+        innov = r + (j0 * (xi[0] - x0[0]) + j1 * (xi[1] - x0[1]) + (xi[d] - x0[d]))
+        xi = [x + k * innov for x, k in zip(x0, K)]
+
+    cov = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        Pi, Ki, PHi = P[i], K[i], PH[i]
+        for j in range(i, 4):
+            cov[i][j] = cov[j][i] = Pi[j] - Ki * PH[j] - PHi * K[j] + S * Ki * K[j]
+    variances = [cov[i][i] for i in range(4)]
+    if not (all(map(math.isfinite, sum(cov, xi))) and min(variances) > 0.0):
+        raise FilterDivergenceError(
+            f"{modality.value} update at step {z.step} gave mean {xi} and variances {variances}")
+    implied = None
+    if not is_aoa and spec.family is LossFamily.ONE_SIDED:
+        implied = soft_threshold_bias(r, spec)
+    return EstimatorState(np.array(xi), np.array(cov)), UpdateDiagnostics(
+        modality, residual=r, weight=w, saturated=w < 1.0, implied_bias=implied, jacobian_pos=J)
 
 
 def ref_reactive_crossing(agent, estimate, cfg):
@@ -188,6 +250,12 @@ def assert_update_parity(state, z, cfg):
     assert (gd.skipped, gd.saturated) == (wd.skipped, wd.saturated)
     for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
         assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), (g - w, w)
+    # against the float reference: every bit, including the diagnostics
+    exact, ed = ref_float_update(state.copy(), z, cfg)
+    assert got.mean.tolist() == exact.mean.tolist()
+    assert got.cov.tolist() == exact.cov.tolist()
+    jac = None if ed.jacobian_pos is None else tuple(ed.jacobian_pos.tolist())
+    assert gd == dataclasses.replace(ed, jacobian_pos=jac)
     return gd
 
 
@@ -249,3 +317,36 @@ class TestUpdateParity:
         assert d.skipped
         d = assert_update_parity(state, Measurement(Modality.RTT, 3.0, (30.0, 40.0)), cfg)
         assert d.skipped
+
+
+# ---------------------------------------------------------------------------
+# the one-call linearization against the functions it replaced in update
+# ---------------------------------------------------------------------------
+
+coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+
+
+def outcome(fn, *args):
+    """A call's value as a list, or ``None`` where it is undefined: on
+    coincident points, and where the bearing Jacobian's squared distance
+    underflows to zero (the reference divides by it, ``linearize`` reports
+    coincident points)."""
+    try:
+        out = fn(*args)
+    except (CoincidentPointsError, ZeroDivisionError):
+        return None
+    return out.tolist() if isinstance(out, np.ndarray) else list(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(tx=coordinate, ty=coordinate, ax=coordinate, ay=coordinate)
+def test_linearize_bit_identical_to_h_and_jacobian(tx, ty, ax, ay):
+    target, agent = (tx, ty), (ax, ay)
+    for modality, h in ((Modality.RTT, h_rtt), (Modality.AOA, h_aoa)):
+        got = outcome(linearize, target, agent, modality is Modality.AOA)
+        want_j = outcome(ref_jacobian, modality, target, agent)
+        assert outcome(jacobian, modality, target, agent) == want_j
+        if want_j is None:
+            assert got is None
+        else:
+            assert got == [h(target, agent), h_rtt(target, agent), *want_j]
