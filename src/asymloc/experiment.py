@@ -150,12 +150,9 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     tracker = SlidingCurvatureTracker(window=ERCM_WINDOW,
                                       mu_threshold=1e-3 / filter_cfg.rtt_loss.sigma**2)
 
-    errors = np.full(steps, np.nan)
-    bias_r = np.full(steps, np.nan)
-    bias_theta = np.full(steps, np.nan)
-    lambda_min = np.full(steps, np.nan)
-    planner_cost = np.full(steps, np.nan)
-    trajectory = np.full((steps, 2), np.nan)
+    # per-step values as floats; the arrays are built once, after the loop
+    est_x, est_y, bias_r, bias_theta = [], [], [], []
+    lambda_min, planner_cost, trajectory = [], [], []
     n_clamped = 0
     aborted_at: Optional[int] = None
     abort_reason = ""
@@ -173,23 +170,31 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                 for diag, spec in ((d_rtt, filt.config.rtt_loss), (d_aoa, filt.config.aoa_loss)):
                     if not diag.skipped:
                         tracker.add(classify_residual(diag.residual, spec, diag.jacobian_pos, t))
-            ex, ey, bias_r[t], bias_theta[t] = filt.state.mean.tolist()
-            # np.hypot, not math.hypot: the two may differ in the last bit
-            errors[t] = np.hypot(ex - tx, ey - ty)
-            lambda_min[t] = tracker.lambda_min()
-            trajectory[t] = agent
+            ex, ey, br, bt = filt.state.mean.tolist()
+            est_x.append(ex)
+            est_y.append(ey)
+            bias_r.append(br)
+            bias_theta.append(bt)
+            lambda_min.append(tracker.lambda_min())
+            trajectory.append(agent)
             tic = time.perf_counter()
             agent = planner.next_pose(agent, (ex, ey))
-            planner_cost[t] = time.perf_counter() - tic
+            planner_cost.append(time.perf_counter() - tic)
         except FilterDivergenceError as exc:
             aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
 
-    return RunResult(errors=errors, bias_r=bias_r, bias_theta=bias_theta,
-                     lambda_min=lambda_min, planner_cost=planner_cost,
-                     trajectory=trajectory, n_clamped=n_clamped,
-                     aborted_at=aborted_at, abort_reason=abort_reason)
+    pad = [math.nan] * (steps - len(planner_cost))
+    # one elementwise np.hypot gives the bits of the per-step scalar call
+    # (math.hypot may differ in the last bit)
+    errors = np.hypot(np.array(est_x + pad) - tx, np.array(est_y + pad) - ty)
+    return RunResult(errors=errors, bias_r=np.array(bias_r + pad),
+                     bias_theta=np.array(bias_theta + pad),
+                     lambda_min=np.array(lambda_min + pad),
+                     planner_cost=np.array(planner_cost + pad),
+                     trajectory=np.array(trajectory + [(math.nan, math.nan)] * len(pad)),
+                     n_clamped=n_clamped, aborted_at=aborted_at, abort_reason=abort_reason)
 
 
 def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:

@@ -33,12 +33,9 @@ STATE_DIM = 4
 
 FILTER_KINDS = ("proposed", "huber", "ekf")
 
-# the covariance's 10 distinct entries, row by row from the diagonal: their
-# (i, j), the positions of the variances, and each of the 16 entries' position
-_UPPER = [(i, j) for i in range(STATE_DIM) for j in range(i, STATE_DIM)]
-_UPPER_DIAGONAL = [k for k, (i, j) in enumerate(_UPPER) if i == j]
-_UPPER_INDEX = np.array([[_UPPER.index((min(i, j), max(i, j))) for j in range(STATE_DIM)]
-                         for i in range(STATE_DIM)])
+# where each of the 16 covariance entries sits among the 10 distinct ones,
+# listed row by row from the diagonal (n00, n01, n02, n03, n11, ..., n33)
+_UPPER_INDEX = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class FilterConfig:
     rtt_loss: LossSpec
     aoa_loss: LossSpec
     sigma_delta_r: float = knob(2.0, gt=0.0)
-    sigma_delta_theta: float = knob(np.deg2rad(5.0), kind="float", gt=0.0)
+    sigma_delta_theta: float = knob(math.radians(5.0), gt=0.0)
     init_position_std: float = knob(40.0, gt=0.0)
     irls_iterations: int = knob(3, ge=1, le=10)
     process_noise: float = knob(1e-4, ge=0.0)
@@ -172,11 +169,16 @@ def update(state: EstimatorState, z: Measurement,
     ``sigma^2 / w``. Covariance is updated once, from the final round, in
     Joseph form, exactly symmetric.
 
-    The observation row ``H`` has the position Jacobian in its first two
-    entries and a 1 at the modality's offset, so the rank-one update runs
-    on Python floats: ``PH = P H``, ``S = H^T P H + R_eff``, ``K = PH / S``
-    and the Joseph form ``(I - K H^T) P (I - K H^T)^T + R_eff K K^T``
-    expanded as ``P - K PH^T - PH K^T + S K K^T``.
+    The observation row ``H`` has the position Jacobian ``(j0, j1)`` in its
+    first two entries and a 1 at the modality's offset, so the rank-one
+    update runs on named Python floats: the prior covariance entries
+    ``p00``..``p33`` with ``c0``..``c3`` the column of the modality's offset,
+    the prior mean ``m0``..``m3`` and the iterate ``e0``..``e3``,
+    ``PH = P H`` as ``h0``..``h3``, ``S = H^T P H + R_eff`` and
+    ``K = PH / S`` as ``k0``..``k3``. The Joseph form
+    ``(I - K H^T) P (I - K H^T)^T + R_eff K K^T`` is expanded as
+    ``P - K PH^T - PH K^T + S K K^T`` into the ten upper entries
+    ``n00``..``n33``, which fill both triangles.
 
     A measurement taken with the estimate coincident with the agent is
     skipped (state returned unchanged) since the observation model is
@@ -185,39 +187,58 @@ def update(state: EstimatorState, z: Measurement,
     """
     modality, agent = z.modality, z.agent
     is_aoa = modality is Modality.AOA
-    spec, d = (config.aoa_loss, IDT) if is_aoa else (config.rtt_loss, IDR)
+    spec = config.aoa_loss if is_aoa else config.rtt_loss
     sigma2 = spec.sigma**2
-    x0 = state.mean.tolist()
-    P = state.cov.tolist()
+    m0, m1, m2, m3 = state.mean.tolist()
+    ((p00, p01, p02, p03), (p10, p11, p12, p13),
+     (p20, p21, p22, p23), (p30, p31, p32, p33)) = state.cov.tolist()
+    if is_aoa:
+        md, c0, c1, c2, c3 = m3, p03, p13, p23, p33
+    else:
+        md, c0, c1, c2, c3 = m2, p02, p12, p22, p32
 
-    xi = x0
+    e0, e1, e2, e3 = m0, m1, m2, m3
     for _ in range(config.irls_iterations):
         try:
-            pred, dist, j0, j1 = linearize(xi, agent, is_aoa)
+            pred, dist, j0, j1 = linearize((e0, e1), agent, is_aoa)
         except CoincidentPointsError:
             return state, UpdateDiagnostics(modality, skipped=True)
         if is_aoa and dist < config.min_aoa_range:
             return state, UpdateDiagnostics(modality, skipped=True)
-        r = z.value - pred - xi[d]
+        ed = e3 if is_aoa else e2
+        r = z.value - pred - ed
         if is_aoa:
             r = wrap_angle(r)
         w = irls_weight(r, spec)
-        PH = [row[0] * j0 + row[1] * j1 + row[d] for row in P]
-        S = j0 * PH[0] + j1 * PH[1] + PH[d] + sigma2 / w
-        K = [v / S for v in PH]
+        h0 = p00 * j0 + p01 * j1 + c0
+        h1 = p10 * j0 + p11 * j1 + c1
+        h2 = p20 * j0 + p21 * j1 + c2
+        h3 = p30 * j0 + p31 * j1 + c3
+        S = j0 * h0 + j1 * h1 + (h3 if is_aoa else h2) + sigma2 / w
+        k0, k1, k2, k3 = h0 / S, h1 / S, h2 / S, h3 / S
         # relinearized innovation keeps the update anchored at the prior mean
-        innov = r + (j0 * (xi[0] - x0[0]) + j1 * (xi[1] - x0[1]) + (xi[d] - x0[d]))
-        xi = [x + k * innov for x, k in zip(x0, K)]
+        innov = r + (j0 * (e0 - m0) + j1 * (e1 - m1) + (ed - md))
+        e0, e1, e2, e3 = m0 + k0 * innov, m1 + k1 * innov, m2 + k2 * innov, m3 + k3 * innov
 
-    # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor;
-    # the 10 distinct entries fill both triangles, so the result is exactly symmetric
-    upper = [P[i][j] - K[i] * PH[j] - PH[i] * K[j] + S * K[i] * K[j] for i, j in _UPPER]
-    variances = [upper[k] for k in _UPPER_DIAGONAL]
-    if not (all(map(math.isfinite, xi)) and all(map(math.isfinite, upper))
-            and min(variances) > 0.0):
+    # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor
+    n00 = p00 - k0 * h0 - h0 * k0 + S * k0 * k0
+    n01 = p01 - k0 * h1 - h0 * k1 + S * k0 * k1
+    n02 = p02 - k0 * h2 - h0 * k2 + S * k0 * k2
+    n03 = p03 - k0 * h3 - h0 * k3 + S * k0 * k3
+    n11 = p11 - k1 * h1 - h1 * k1 + S * k1 * k1
+    n12 = p12 - k1 * h2 - h1 * k2 + S * k1 * k2
+    n13 = p13 - k1 * h3 - h1 * k3 + S * k1 * k3
+    n22 = p22 - k2 * h2 - h2 * k2 + S * k2 * k2
+    n23 = p23 - k2 * h3 - h2 * k3 + S * k2 * k3
+    n33 = p33 - k3 * h3 - h3 * k3 + S * k3 * k3
+    if not (all(map(math.isfinite, (e0, e1, e2, e3, n00, n01, n02, n03, n11, n12, n13,
+                                    n22, n23, n33)))
+            and min(n00, n11, n22, n33) > 0.0):
         raise FilterDivergenceError(
-            f"{modality.value} update at step {z.step} gave mean {xi} and variances {variances}")
-    new_state = EstimatorState(np.array(xi), np.array(upper)[_UPPER_INDEX])
+            f"{modality.value} update at step {z.step} gave mean {[e0, e1, e2, e3]} "
+            f"and variances {[n00, n11, n22, n33]}")
+    upper = np.array([n00, n01, n02, n03, n11, n12, n13, n22, n23, n33])
+    new_state = EstimatorState(np.array([e0, e1, e2, e3]), upper[_UPPER_INDEX])
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
     # ones that produced the applied gain

@@ -80,6 +80,12 @@ class LossSpec:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # plain floats, so the filter's float arithmetic never runs on numpy
+        # scalars (same bits, several times the cost per operation)
+        for name in ("sigma", "lam", "k"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if self.family is LossFamily.ONE_SIDED:
             if (self.lam is None) == (self.k is None):
                 raise ValueError("one-sided spec takes exactly one of lam, k")

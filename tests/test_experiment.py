@@ -155,6 +155,33 @@ class TestRunSingle:
         assert np.isfinite(res.errors[:k]).all()
         assert np.isnan(res.errors[k:]).all()
 
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_abort_pads_every_series_with_nan_from_its_step(self, monkeypatch, k):
+        # every per-step series, not only the errors, is finite up to the
+        # abort step and NaN from it on; at k = 0 the NaN range also seeds
+        # the belief, so nothing is recorded at all
+        observe = experiment.observe_with_draw
+
+        def nan_at_k(scenario, agent, rng, step):
+            m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
+            if step == k:
+                m_rtt = dataclasses.replace(m_rtt, value=math.nan)
+            return m_rtt, m_aoa, draw, clamped
+        monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
+        sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
+        fc = build_filter_config("proposed", sc, FilterParams())
+        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
+        assert res.aborted_at == k
+        series = {name: getattr(res, name) for name in
+                  ("errors", "bias_r", "bias_theta", "lambda_min", "planner_cost")}
+        for name, values in series.items():
+            assert values.shape == (20,), name
+            assert np.isfinite(values[:k]).all(), name
+            assert np.isnan(values[k:]).all(), name
+        assert res.trajectory.shape == (20, 2)
+        assert np.isfinite(res.trajectory[:k]).all()
+        assert np.isnan(res.trajectory[k:]).all()
+
     def test_planner_error_propagates(self, monkeypatch):
         # only a filter divergence is a recorded abort; a fault anywhere else
         # in the loop must not be turned into an aborted run

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from asymloc import filters
 from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
                              Measurement, RobustEkf, init_state, learned_bias,
                              make_filter_config, predict, update)
-from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
+from asymloc.geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, loss
 
 
@@ -126,6 +127,62 @@ def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
             tau, sg, k = cfg.aoa_loss.tau, cfg.aoa_loss.sigma, cfg.aoa_loss.k
             total += np.where(r <= tau, r * r / (2 * sg**2), (k / sg) * r - 0.5 * k**2)
     return total
+
+
+class TestUpdateCallCounts:
+    """One ``linearize`` and one ``irls_weight`` call per IRLS round, and
+    none after a skip: the benchmark's per-round and per-step call counts
+    read these calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"linearize": 0, "irls_weight": 0}
+        fail_at = {"linearize": None}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                if counts[name] == fail_at.get(name):
+                    raise CoincidentPointsError("forced skip")
+                return fn(*args)
+            return wrapper
+        for name in counts:
+            monkeypatch.setattr(filters, name, counted(name, getattr(filters, name)))
+        return counts, fail_at
+
+    @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
+    @pytest.mark.parametrize("rounds", [1, 3, 10])
+    def test_once_per_round(self, calls, modality, rounds):
+        counts, _ = calls
+        cfg = one_sided_config(irls_iterations=rounds)
+        agent = (10.0, 20.0)
+        value = (h_rtt((40.0, 50.0), agent) + 3.0 if modality is Modality.RTT
+                 else h_aoa((40.0, 50.0), agent) + 0.1)
+        _, diag = update(init_state(cfg, (40.0, 50.0)), Measurement(modality, value, agent), cfg)
+        assert not diag.skipped
+        assert counts == {"linearize": rounds, "irls_weight": rounds}
+
+    @pytest.mark.parametrize("guess, modality", [((10.0, 20.0), Modality.RTT),
+                                                 ((10.0, 20.0), Modality.AOA),
+                                                 ((10.5, 20.0), Modality.AOA)])
+    def test_skip_in_the_first_round_stops_before_the_weight(self, calls, guess, modality):
+        # coincident estimate (both modalities), then AoA under min_aoa_range
+        counts, _ = calls
+        cfg = one_sided_config()
+        state = init_state(cfg, guess)
+        new_state, diag = update(state, Measurement(modality, 0.3, (10.0, 20.0)), cfg)
+        assert diag.skipped and new_state is state
+        assert counts == {"linearize": 1, "irls_weight": 0}
+
+    @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
+    def test_skip_in_a_later_round_stops_there(self, calls, modality):
+        counts, fail_at = calls
+        fail_at["linearize"] = 2
+        cfg = one_sided_config(irls_iterations=5)
+        state = init_state(cfg, (40.0, 50.0))
+        new_state, diag = update(state, Measurement(modality, 0.3, (10.0, 20.0)), cfg)
+        assert diag.skipped and new_state is state
+        assert counts == {"linearize": 2, "irls_weight": 1}
 
 
 class TestMapOracle:

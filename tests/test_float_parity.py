@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymloc.filters import (EstimatorState, FilterDivergenceError, Measurement,
+from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterDivergenceError, Measurement,
                              UpdateDiagnostics, init_state, make_filter_config, update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian,
                               linearize, wrap_angle)
@@ -317,6 +317,81 @@ class TestUpdateParity:
         assert d.skipped
         d = assert_update_parity(state, Measurement(Modality.RTT, 3.0, (30.0, 40.0)), cfg)
         assert d.skipped
+
+
+def update_outcome(fn, state, z, cfg):
+    """An update's posterior and diagnostics as plain values (the Jacobian
+    as a float pair), or ``"diverged"``."""
+    try:
+        post, diag = fn(state.copy(), z, cfg)
+    except FilterDivergenceError:
+        return "diverged"
+    jac = diag.jacobian_pos
+    if isinstance(jac, np.ndarray):
+        jac = tuple(jac.tolist())
+    return post.mean.tolist(), post.cov.tolist(), dataclasses.replace(diag, jacobian_pos=jac)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(kind=st.sampled_from(FILTER_KINDS), rounds=st.integers(1, 10),
+       a=st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16),
+       log_sd=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       pos=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+       offsets=st.tuples(st.floats(-5.0, 5.0), st.floats(-0.2, 0.2)),
+       agent=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+       measurement=st.one_of(
+           st.tuples(st.just("rtt"), st.floats(0.0, 150.0)),
+           st.tuples(st.just("aoa"), st.floats(-math.pi, math.pi)),
+           # a raw residual just inside or outside +-pi, where the wrap picks its sign
+           st.tuples(st.sampled_from(["aoa+pi", "aoa-pi"]),
+                     st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-3]))))
+def test_update_bit_identical_to_float_reference(kind, rounds, a, log_sd, pos, offsets,
+                                                 agent, measurement):
+    # every kind, ekf included, runs the drawn number of IRLS rounds
+    cfg = dataclasses.replace(make_filter_config(kind, 1.5, math.radians(2.0)),
+                              irls_iterations=rounds)
+    m = np.array(a).reshape(4, 4)
+    sd = 10.0 ** np.array(log_sd)
+    prior = (m @ m.T + 1e-3 * np.eye(4)) * np.outer(sd, sd)
+    state = EstimatorState(np.array([*pos, *offsets]), 0.5 * (prior + prior.T))
+    what, value = measurement
+    if what == "rtt":
+        z = Measurement(Modality.RTT, value, agent)
+    else:
+        if what != "aoa":
+            try:
+                pred = h_aoa(pos, agent) + offsets[1]
+            except CoincidentPointsError:
+                pred = 0.0
+            value = wrap_angle(pred + (math.pi if what == "aoa+pi" else -math.pi) + value)
+        z = Measurement(Modality.AOA, value, agent)
+    assert update_outcome(update, state, z, cfg) == update_outcome(ref_float_update, state, z, cfg)
+
+
+@pytest.mark.parametrize("kind", ["proposed", "huber", "ekf"])
+def test_numpy_scalar_noise_scales_give_the_float_bits(kind):
+    # a config built from numpy scalars holds plain floats, so the update
+    # does float arithmetic, not numpy-scalar arithmetic, with the same bits
+    rng = np.random.default_rng(24)
+    from_float = make_filter_config(kind, 1.5, math.radians(2.0))
+    from_numpy = make_filter_config(kind, np.float64(1.5), np.radians(2.0))
+    for spec in (from_numpy.rtt_loss, from_numpy.aoa_loss):
+        assert all(type(getattr(spec, f)) is float
+                   for f in ("sigma", "lam", "k", "tau") if getattr(spec, f) is not None)
+    assert from_numpy == from_float
+    for i in range(200):
+        mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
+        state = EstimatorState(mean, random_prior(rng, [1.0, 10.0][i % 2]))
+        agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
+        value = (h_rtt(state.mean[:2], agent) + float(rng.normal(0, 5)) if i % 2 == 0
+                 else wrap_angle(h_aoa(state.mean[:2], agent) + float(rng.normal(0, 0.2))))
+        z = Measurement(Modality.AOA if i % 2 else Modality.RTT, value, agent)
+        got = update_outcome(update, state, z, from_numpy)
+        assert got == update_outcome(update, state, z, from_float)
+        diag = got[2]
+        if not diag.skipped:
+            assert type(diag.residual) is float and type(diag.weight) is float
+            assert all(type(j) is float for j in diag.jacobian_pos)
 
 
 # ---------------------------------------------------------------------------
