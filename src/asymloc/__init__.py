@@ -6,7 +6,7 @@ from .losses import (LossFamily, LossSpec, NoNlosEvidenceError, WrongLossFamilyE
                      em_update_lambda, irls_weight, k_from_lambda, lambda_from_k,
                      loss, loss_curvature, loss_grad, soft_threshold_bias)
 from .filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
-                      Measurement, RobustEkf, UpdateDiagnostics, init_state, learned_bias,
+                      FilterParams, Measurement, RobustEkf, UpdateDiagnostics, init_state,
                       make_filter_config, predict, update)
 from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTracker,
                             accumulate, classify_residual, crossing_improves)
@@ -15,8 +15,8 @@ from .planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfi
                        reactive_crossing)
 from .sim_env import (PRESETS, ChannelDraw, Rect, Scenario, get_preset, observe_with_draw,
                       sample_channel, segment_intersects_rect)
-from .experiment import (FilterParams, GridSpec, RunMetrics, RunResult, SweepRow,
-                         aggregate, run_grid, run_single, sweep)
+from .experiment import (GridSpec, RunMetrics, RunResult, SweepRow, aggregate, run_grid,
+                         run_single, sweep)
 from .config import ConfigError, ExperimentConfig, dump_config, parse_config
 
 __version__ = "0.1.0"

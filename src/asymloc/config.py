@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import knobs
-from .experiment import SWEEP_PARAMETERS, FilterParams, GridSpec, _apply_sweep_value
+from .experiment import SWEEP_PARAMETERS, GridSpec, _apply_sweep_value
+from .filters import FilterParams
 from .planners import PlannerConfig
 from .sim_env import PRESETS, Scenario, get_preset
 

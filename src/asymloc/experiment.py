@@ -23,7 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .filters import FILTER_KINDS, FilterConfig, FilterDivergenceError, RobustEkf, make_filter_config
+from .filters import (FILTER_KINDS, FilterConfig, FilterDivergenceError, FilterParams, RobustEkf,
+                      make_filter_config)
 from .geometry import CoincidentPointsError, Modality
 from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
@@ -31,31 +32,6 @@ from .planners import PLANNER_KINDS, PlannerConfig, make_planner
 from .sim_env import Scenario, observe_with_draw
 
 ERCM_WINDOW = 30
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Filter knobs that are not part of the scenario (the noise scales
-    come from the scenario so filter and world stay matched)."""
-
-    k_rtt: float = knob(1.5, "filter", gt=0.0)
-    k_aoa: float = knob(1.345, "filter", gt=0.0)
-    sigma_delta_r: float = knob(2.0, "filter", gt=0.0)
-    sigma_delta_theta_deg: float = knob(5.0, "filter", gt=0.0)
-    init_position_std: float = knob(40.0, "filter", gt=0.0)
-    irls_iterations: int = knob(3, "filter", ge=1, le=10)
-    process_noise: float = knob(1e-4, "filter", ge=0.0)
-    em_enabled: bool = knob(False, "filter")
-    em_window: int = knob(50, "filter", ge=1)
-
-    def __post_init__(self):
-        check(self)
-
-
-def build_filter_config(kind: str, scenario: Scenario, params: FilterParams) -> FilterConfig:
-    fields = dataclasses.asdict(params)
-    fields["sigma_delta_theta"] = math.radians(fields.pop("sigma_delta_theta_deg"))
-    return make_filter_config(kind, scenario.sigma_r, scenario.sigma_theta_rad, **fields)
 
 
 @dataclass
@@ -266,7 +242,8 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     cells = [(f, p) for f in grid.filters for p in grid.planners]
     jobs = []
     for f, p in cells:
-        fcfg = build_filter_config(f, grid.scenario, grid.filter_params)
+        fcfg = make_filter_config(f, grid.scenario.sigma_r, grid.scenario.sigma_theta_rad,
+                                  grid.filter_params)
         for i in range(grid.n_runs):
             jobs.append((grid.scenario, fcfg, p, grid.planner_cfg, grid.scenario.seed + i))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,11 +27,14 @@ from .geometry import CoincidentPointsError, Modality, linearize, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
-# state vector layout
-IX, IY, IDR, IDT = 0, 1, 2, 3
 STATE_DIM = 4
 
 FILTER_KINDS = ("proposed", "huber", "ekf")
+
+# bearing linearization is invalid when the estimate sits on the agent
+# (Jacobian blows up as 1/d); below this predicted range the AoA update
+# is skipped like a coincident measurement
+MIN_AOA_RANGE = 1.0
 
 # where each of the 16 covariance entries sits among the 10 distinct ones,
 # listed row by row from the diagonal (n00, n01, n02, n03, n11, ..., n33)
@@ -60,38 +63,51 @@ class EstimatorState:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
-    """Loss choices and prior scales for one filter instance.
+class FilterParams:
+    """Filter knobs that are not part of the scenario (the noise scales
+    come from the scenario so filter and world stay matched).
 
-    ``sigma_delta_r`` / ``sigma_delta_theta`` are the standard deviations
-    of the zero-mean Gaussian priors on the systematic offsets; they enter
-    only through the initial covariance. ``process_noise`` is the per-step
-    variance added to every state to keep the static-target filter
-    responsive to drift.
+    ``k_rtt`` / ``k_aoa`` are the Huber thresholds the losses are built
+    with. ``sigma_delta_r`` / ``sigma_delta_theta_deg`` are the standard
+    deviations of the zero-mean Gaussian priors on the systematic offsets;
+    they enter only through the initial covariance. ``process_noise`` is
+    the per-step variance added to every state to keep the static-target
+    filter responsive to drift.
     """
 
-    rtt_loss: LossSpec
-    aoa_loss: LossSpec
-    sigma_delta_r: float = knob(2.0, gt=0.0)
-    sigma_delta_theta: float = knob(math.radians(5.0), gt=0.0)
-    init_position_std: float = knob(40.0, gt=0.0)
-    irls_iterations: int = knob(3, ge=1, le=10)
-    process_noise: float = knob(1e-4, ge=0.0)
-    em_enabled: bool = False
-    em_window: int = knob(50, ge=1)
-    # bearing linearization is invalid when the estimate sits on the agent
-    # (Jacobian blows up as 1/d); below this predicted range the AoA update
-    # is skipped like a coincident measurement
-    min_aoa_range: float = 1.0
+    k_rtt: float = knob(1.5, "filter", gt=0.0)
+    k_aoa: float = knob(1.345, "filter", gt=0.0)
+    sigma_delta_r: float = knob(2.0, "filter", gt=0.0)
+    sigma_delta_theta_deg: float = knob(5.0, "filter", gt=0.0)
+    init_position_std: float = knob(40.0, "filter", gt=0.0)
+    irls_iterations: int = knob(3, "filter", ge=1, le=10)
+    process_noise: float = knob(1e-4, "filter", ge=0.0)
+    em_enabled: bool = knob(False, "filter")
+    em_window: int = knob(50, "filter", ge=1)
 
     def __post_init__(self):
         check(self)
 
-    def loss_for(self, modality: Modality) -> LossSpec:
-        return self.rtt_loss if modality is Modality.RTT else self.aoa_loss
+    @property
+    def sigma_delta_theta_rad(self) -> float:
+        return math.radians(self.sigma_delta_theta_deg)
 
 
 @dataclass(frozen=True)
+class FilterConfig:
+    """One filter instance: its two losses and the params it runs with.
+
+    ``params.k_rtt`` / ``params.k_aoa`` are the inputs the losses were
+    built from; :func:`update` reads only the losses, and EM replaces only
+    ``rtt_loss``.
+    """
+
+    rtt_loss: LossSpec
+    aoa_loss: LossSpec
+    params: FilterParams = field(default_factory=FilterParams)
+
+
+@dataclass
 class UpdateDiagnostics:
     """What a single measurement update did.
 
@@ -111,28 +127,27 @@ class UpdateDiagnostics:
     skipped: bool = False
 
 
-def make_filter_config(kind: str, sigma_r: float, sigma_theta: float, *,
-                       k_rtt: float = 1.5, k_aoa: float = 1.345, **fields) -> FilterConfig:
-    """Build the config for one of the stock filter kinds; ``fields`` are
-    the other :class:`FilterConfig` fields (its defaults otherwise).
+def make_filter_config(kind: str, sigma_r: float, sigma_theta: float,
+                       params: FilterParams = FilterParams()) -> FilterConfig:
+    """Build the config for one of the stock filter kinds.
 
     The ``ekf`` kind forces a single update iteration: with a quadratic
     loss the reweighting is a no-op and one iteration is exactly the
     textbook EKF update.
     """
     if kind == "proposed":
-        rtt = LossSpec.one_sided(sigma_r, k=k_rtt)
-        aoa = LossSpec.symmetric(sigma_theta, k=k_aoa)
+        rtt = LossSpec.one_sided(sigma_r, k=params.k_rtt)
+        aoa = LossSpec.symmetric(sigma_theta, k=params.k_aoa)
     elif kind == "huber":
-        rtt = LossSpec.symmetric(sigma_r, k=k_rtt)
-        aoa = LossSpec.symmetric(sigma_theta, k=k_aoa)
+        rtt = LossSpec.symmetric(sigma_r, k=params.k_rtt)
+        aoa = LossSpec.symmetric(sigma_theta, k=params.k_aoa)
     elif kind == "ekf":
         rtt = LossSpec.quadratic(sigma_r)
         aoa = LossSpec.quadratic(sigma_theta)
-        fields["irls_iterations"] = 1
+        params = dataclasses.replace(params, irls_iterations=1)
     else:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
-    return FilterConfig(rtt_loss=rtt, aoa_loss=aoa, **fields)
+    return FilterConfig(rtt_loss=rtt, aoa_loss=aoa, params=params)
 
 
 def init_state(config: FilterConfig, initial_guess) -> EstimatorState:
@@ -140,8 +155,9 @@ def init_state(config: FilterConfig, initial_guess) -> EstimatorState:
     carrying the position spread and the offset priors."""
     guess = np.asarray(initial_guess, dtype=float)
     mean = np.array([guess[0], guess[1], 0.0, 0.0])
-    cov = np.diag([config.init_position_std**2, config.init_position_std**2,
-                   config.sigma_delta_r**2, config.sigma_delta_theta**2])
+    p = config.params
+    cov = np.diag([p.init_position_std**2, p.init_position_std**2,
+                   p.sigma_delta_r**2, p.sigma_delta_theta_rad**2])
     return EstimatorState(mean, cov)
 
 
@@ -198,12 +214,12 @@ def update(state: EstimatorState, z: Measurement,
         md, c0, c1, c2, c3 = m2, p02, p12, p22, p32
 
     e0, e1, e2, e3 = m0, m1, m2, m3
-    for _ in range(config.irls_iterations):
+    for _ in range(config.params.irls_iterations):
         try:
             pred, dist, j0, j1 = linearize((e0, e1), agent, is_aoa)
         except CoincidentPointsError:
             return state, UpdateDiagnostics(modality, skipped=True)
-        if is_aoa and dist < config.min_aoa_range:
+        if is_aoa and dist < MIN_AOA_RANGE:
             return state, UpdateDiagnostics(modality, skipped=True)
         ed = e3 if is_aoa else e2
         r = z.value - pred - ed
@@ -250,18 +266,13 @@ def update(state: EstimatorState, z: Measurement,
                                         jacobian_pos=(j0, j1))
 
 
-def learned_bias(state: EstimatorState, modality: Modality) -> float:
-    """Current estimate of the systematic offset for a modality."""
-    return float(state.mean[IDT if modality is Modality.AOA else IDR])
-
-
 class RobustEkf:
     """Stateful wrapper around the pure filter functions.
 
-    One instance per simulation run. When ``em_enabled`` is set, the rate
-    parameter of a one-sided RTT loss is refreshed every ``em_window``
-    range updates from the window's solved biases (inverse sample mean);
-    an all-zero window keeps the current rate.
+    One instance per simulation run. When ``params.em_enabled`` is set,
+    the rate parameter of a one-sided RTT loss is refreshed every
+    ``params.em_window`` range updates from the window's solved biases
+    (inverse sample mean); an all-zero window keeps the current rate.
     """
 
     def __init__(self, config: FilterConfig, initial_guess):
@@ -270,14 +281,14 @@ class RobustEkf:
         self._bias_window: list[float] = []
 
     def predict(self) -> None:
-        self.state = predict(self.state, self.config.process_noise)
+        self.state = predict(self.state, self.config.params.process_noise)
 
     def update(self, z: Measurement) -> UpdateDiagnostics:
         self.state, diag = update(self.state, z, self.config)
-        if (self.config.em_enabled and z.modality is Modality.RTT
+        if (self.config.params.em_enabled and z.modality is Modality.RTT
                 and diag.implied_bias is not None and not diag.skipped):
             self._bias_window.append(diag.implied_bias)
-            if len(self._bias_window) >= self.config.em_window:
+            if len(self._bias_window) >= self.config.params.em_window:
                 self._refresh_rtt_rate()
                 self._bias_window.clear()
         return diag

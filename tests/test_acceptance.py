@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from asymloc.cli import main as cli_main
-from asymloc.experiment import FilterParams, GridSpec, build_filter_config, run_grid, run_single
-from asymloc.filters import Measurement, init_state, predict, update
+from asymloc.experiment import GridSpec, run_grid, run_single
+from asymloc.filters import Measurement, init_state, make_filter_config, predict, update
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, k_from_lambda, lambda_from_k, loss, loss_grad
 from asymloc.observability import CurvatureSample, accumulate, crossing_improves
@@ -247,7 +247,8 @@ def symmetric_psi(tau):
 def test_bias_fixed_point_oracle_closed_forms():
     grid = canonical_grid()
     sc = grid.scenario
-    tau = build_filter_config("huber", sc, grid.filter_params).rtt_loss.tau
+    fc = make_filter_config("huber", sc.sigma_r, sc.sigma_theta_rad, grid.filter_params)
+    tau = fc.rtt_loss.tau
     _, wts = _rtt_residual_grid(sc)
     assert abs(float(wts.sum()) - 1.0) <= 1e-9
 
@@ -288,7 +289,9 @@ def test_criterion_06_bias_learning(canonical):
     # filter must land on its own loss's fixed point.
     fixed = {}
     for kind, psi in (("proposed", one_sided_psi), ("huber", symmetric_psi)):
-        tau = build_filter_config(kind, grid.scenario, grid.filter_params).rtt_loss.tau
+        sc = grid.scenario
+        fc = make_filter_config(kind, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params)
+        tau = fc.rtt_loss.tau
         fixed[kind] = bias_fixed_point(grid.scenario, psi(tau))
     gap, fixed_gap = hub - prop, fixed["huber"] - fixed["proposed"]
     on_own = (abs(prop - fixed["proposed"]) <= FIXED_POINT_TOL
@@ -353,7 +356,6 @@ def test_criterion_09_reduction_sanity():
     # quadratic-loss filter vs an independently written textbook EKF
     rng = np.random.default_rng(1009)
     worst = 0.0
-    from asymloc.filters import make_filter_config
     for _ in range(100):
         sigma_r = float(rng.uniform(0.5, 2.0))
         sigma_t = float(rng.uniform(0.02, 0.1))
@@ -373,9 +375,10 @@ def test_criterion_09_reduction_sanity():
                 z = Measurement(Modality.AOA,
                                 wrap_angle(h_aoa(truth, agent) + float(rng.normal(0, sigma_t))), agent)
                 sig = sigma_t
-            st = predict(st, cfg.process_noise)
+            st = predict(st, cfg.params.process_noise)
             st, _ = update(st, z, cfg)
-            mean_ref, cov_ref = independent_plain_ekf(mean_ref, cov_ref, z, sig, cfg.process_noise)
+            mean_ref, cov_ref = independent_plain_ekf(mean_ref, cov_ref, z, sig,
+                                                     cfg.params.process_noise)
             worst = max(worst, float(np.abs(st.mean - mean_ref).max()),
                         float(np.abs(st.cov - cov_ref).max()))
     assert worst <= 1e-9
@@ -383,7 +386,7 @@ def test_criterion_09_reduction_sanity():
     # zero-noise closed loop converges below 1 cm within 30 steps
     sc = Scenario(p_nlos=0.0, sigma_r=1e-9, sigma_theta_deg=1e-9,
                   delta_r=0.0, delta_theta_deg=0.0, steps=40)
-    fc = build_filter_config("ekf", sc, FilterParams())
+    fc = make_filter_config("ekf", sc.sigma_r, sc.sigma_theta_rad)
     res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=0)
     converged = bool((res.errors[29:] < 0.01).all())
     ok = worst <= 1e-9 and converged

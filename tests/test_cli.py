@@ -9,7 +9,8 @@ from asymloc import knobs
 from asymloc.cli import main
 from asymloc.config import ConfigError, dump_config, parse_config
 from asymloc.config import ExperimentConfig, SweepSpec
-from asymloc.experiment import SWEEP_PARAMETERS, FilterParams
+from asymloc.experiment import SWEEP_PARAMETERS
+from asymloc.filters import FilterParams
 from asymloc.planners import PlannerConfig
 from asymloc.sim_env import PRESETS, Rect, Scenario, get_preset
 

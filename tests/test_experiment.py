@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from asymloc import experiment
-from asymloc.experiment import (CellResult, FilterParams, GridSpec, RunResult, aggregate,
-                                build_filter_config, format_summary_table, run_grid,
-                                run_single, sweep, write_cell_csv, write_summary_csv,
+from asymloc.config import parse_config
+from asymloc.experiment import (CellResult, GridSpec, RunResult, aggregate, format_summary_table,
+                                run_grid, run_single, sweep, write_cell_csv, write_summary_csv,
                                 write_sweep_csv)
+from asymloc.filters import FilterParams, make_filter_config
+from asymloc.knobs import config_fields, key
+from asymloc.losses import LossFamily
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
 from asymloc.sim_env import Scenario, get_preset
 
@@ -80,7 +83,7 @@ class TestAggregate:
 class TestRunSingle:
     def test_noise_free_converges_fast(self):
         sc = quiet_scenario()
-        fc = build_filter_config("ekf", sc, FilterParams())
+        fc = make_filter_config("ekf", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=0)
         assert res.aborted_at is None
         assert res.errors[29] < 0.01
@@ -89,7 +92,7 @@ class TestRunSingle:
     def test_deterministic_per_seed(self):
         sc = get_preset("canonical_medium")
         sc = dataclasses.replace(sc, steps=50)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         pcfg = PlannerConfig(arena=sc.arena)
         r1 = run_single(sc, fc, "fim", pcfg, run_seed=11)
         r2 = run_single(sc, fc, "fim", pcfg, run_seed=11)
@@ -101,7 +104,7 @@ class TestRunSingle:
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=120)
         pcfg = PlannerConfig(arena=sc.arena)
         for planner in ("passive", "reactive", "fim"):
-            fc = build_filter_config("proposed", sc, FilterParams())
+            fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
             res = run_single(sc, fc, planner, pcfg, run_seed=5)
             assert np.nanmin(res.trajectory) >= 0.0
             assert np.nanmax(res.trajectory) <= sc.arena
@@ -113,14 +116,14 @@ class TestRunSingle:
         pcfg = PlannerConfig(arena=sc.arena, candidate_count=16)
         costs = {}
         for planner in ("passive", "fim"):
-            fc = build_filter_config("proposed", sc, FilterParams())
+            fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
             res = run_single(sc, fc, planner, pcfg, run_seed=1)
             costs[planner] = float(np.nanmean(res.planner_cost))
         assert costs["fim"] > 3.0 * costs["passive"]
 
     def test_lambda_min_series_recorded(self):
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=40)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=2)
         assert res.lambda_min.shape == (40,)
         assert (res.lambda_min >= 0.0).all()
@@ -128,7 +131,7 @@ class TestRunSingle:
 
     def test_start_on_target_skips_the_first_observation(self):
         sc = quiet_scenario(truth=(30.0, 40.0), start=(30.0, 40.0), steps=20)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=3)
         assert res.aborted_at is None
         assert np.isfinite(res.errors).all()
@@ -148,7 +151,7 @@ class TestRunSingle:
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
         assert res.aborted_at == k
         assert res.abort_reason.startswith("FilterDivergenceError")
@@ -169,7 +172,7 @@ class TestRunSingle:
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
         assert res.aborted_at == k
         series = {name: getattr(res, name) for name in
@@ -189,7 +192,7 @@ class TestRunSingle:
             raise ValueError("planner fault")
         monkeypatch.setattr(LawnmowerPlanner, "next_pose", broken)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
-        fc = build_filter_config("proposed", sc, FilterParams())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         with pytest.raises(ValueError, match="planner fault"):
             run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=0)
 
@@ -214,6 +217,43 @@ class TestGrid:
         for key in r1:
             np.testing.assert_array_equal(r1[key].metrics.rmse_series,
                                           r2[key].metrics.rmse_series)
+
+    def test_every_filter_knob_reaches_the_built_filter(self, monkeypatch):
+        # each [filter] key away from its default, read through parse_config
+        text = {"k_rtt": "2.0", "k_aoa": "1.1", "sigma_delta_r": "3.0",
+                "sigma_delta_theta_deg": "7.0", "init_position_std": "25.0",
+                "irls_iterations": "4", "process_noise": "0.0002", "em_enabled": "true",
+                "em_window": "20"}
+        assert set(text) == {key(f) for f in config_fields(FilterParams)}
+        cfg = parse_config("[experiment]\npreset = canonical_low\nfilters = proposed,huber,ekf\n"
+                           "planners = passive\nruns = 1\nsteps = 2\n[filter]\n"
+                           + "".join(f"{k} = {v}\n" for k, v in text.items()))
+        params = cfg.filter_params
+        for f in config_fields(FilterParams):
+            assert getattr(params, f.name) != f.default, f.name
+
+        built = []
+
+        class RecordingEkf(experiment.RobustEkf):
+            def __init__(self, config, initial_guess):
+                super().__init__(config, initial_guess)
+                built.append((config, self.state.cov.copy()))
+        monkeypatch.setattr(experiment, "RobustEkf", RecordingEkf)
+        run_grid(cfg)
+
+        assert len(built) == 3
+        for kind, (fc, cov) in zip(cfg.filters, built):
+            assert fc.rtt_loss.sigma == cfg.scenario.sigma_r
+            assert fc.aoa_loss.sigma == cfg.scenario.sigma_theta_rad
+            if kind == "ekf":
+                assert fc.rtt_loss.family is fc.aoa_loss.family is LossFamily.QUADRATIC
+            else:
+                assert (fc.rtt_loss.k, fc.aoa_loss.k) == (2.0, 1.1)
+            assert cov[0, 0] == cov[1, 1] == 25.0**2
+            assert cov[2, 2] == 3.0**2
+            assert cov[3, 3] == math.radians(7.0) ** 2
+            assert fc.params.irls_iterations == (1 if kind == "ekf" else 4)
+            assert dataclasses.replace(fc.params, irls_iterations=4) == params
 
 
 class TestSweep:

@@ -7,23 +7,21 @@ from hypothesis import strategies as hst
 
 from asymloc import filters
 from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
-                             Measurement, RobustEkf, init_state, learned_bias,
-                             make_filter_config, predict, update)
+                             FilterParams, Measurement, RobustEkf, init_state, make_filter_config,
+                             predict, update)
 from asymloc.geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, loss
 
 
-def one_sided_config(**kw):
-    defaults = dict(rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0),
-                    aoa_loss=LossSpec.symmetric(sigma=0.035, k=1.345))
-    defaults.update(kw)
-    return FilterConfig(**defaults)
+def one_sided_config(rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0), **params):
+    return FilterConfig(rtt_loss=rtt_loss, aoa_loss=LossSpec.symmetric(sigma=0.035, k=1.345),
+                        params=FilterParams(**params))
 
 
 class TestInit:
     def test_constructor_example(self):
         cfg = one_sided_config(init_position_std=40.0, sigma_delta_r=2.0,
-                               sigma_delta_theta=0.0873)
+                               sigma_delta_theta_deg=math.degrees(0.0873))
         st = init_state(cfg, (50.0, 50.0))
         np.testing.assert_array_equal(st.mean, [50.0, 50.0, 0.0, 0.0])
         np.testing.assert_allclose(np.diag(st.cov), [1600.0, 1600.0, 4.0, 0.0873**2])
@@ -32,8 +30,7 @@ class TestInit:
 
     def test_offsets_start_at_zero(self):
         st = init_state(one_sided_config(), (12.0, 3.0))
-        assert learned_bias(st, Modality.RTT) == 0.0
-        assert learned_bias(st, Modality.AOA) == 0.0
+        assert st.mean[2] == st.mean[3] == 0.0
 
 
 class TestPredict:
@@ -92,11 +89,13 @@ class TestUpdate:
         np.testing.assert_array_equal(st2.cov, st.cov)
 
     def test_aoa_update_skipped_below_range_floor(self):
-        cfg = one_sided_config(min_aoa_range=1.0)
-        st = init_state(cfg, (10.5, 10.0))
-        z = Measurement(Modality.AOA, 0.3, (10.0, 10.0))
-        _, diag = update(st, z, cfg)
-        assert diag.skipped
+        # the floor is filters.MIN_AOA_RANGE (1 m): strictly nearer is skipped;
+        # a zero residual keeps every IRLS round at the same distance
+        cfg = one_sided_config()
+        z = Measurement(Modality.AOA, 0.0, (10.0, 10.0))
+        for distance, skipped in ((0.5, True), (1.0, False), (1.5, False)):
+            _, diag = update(init_state(cfg, (10.0 + distance, 10.0)), z, cfg)
+            assert diag.skipped is skipped, distance
 
     def test_rtt_diagnostics_carry_implied_bias(self):
         cfg = one_sided_config()
@@ -114,7 +113,8 @@ class TestUpdate:
 def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
     """Independent evaluation of the joint robust objective (data terms,
     offset priors, and the near-flat position prior the filter carries)."""
-    total = dr**2 / (2 * cfg.sigma_delta_r**2) + dt**2 / (2 * cfg.sigma_delta_theta**2)
+    total = (dr**2 / (2 * cfg.params.sigma_delta_r**2)
+             + dt**2 / (2 * cfg.params.sigma_delta_theta_rad**2))
     total += ((x1 - guess[0])**2 + (x2 - guess[1])**2) / (2 * init_std**2)
     for z in measurements:
         if z.modality is Modality.RTT:
@@ -166,7 +166,7 @@ class TestUpdateCallCounts:
                                                  ((10.0, 20.0), Modality.AOA),
                                                  ((10.5, 20.0), Modality.AOA)])
     def test_skip_in_the_first_round_stops_before_the_weight(self, calls, guess, modality):
-        # coincident estimate (both modalities), then AoA under min_aoa_range
+        # coincident estimate (both modalities), then AoA under MIN_AOA_RANGE
         counts, _ = calls
         cfg = one_sided_config()
         state = init_state(cfg, guess)
@@ -194,8 +194,9 @@ class TestMapOracle:
         s1, s2 = (10.0, 10.0), (90.0, 60.0)
         cfg = FilterConfig(rtt_loss=LossSpec.one_sided(sigma=1.5, k=1.5),
                            aoa_loss=LossSpec.symmetric(sigma=0.035, k=1.345),
-                           sigma_delta_r=2.0, sigma_delta_theta=math.radians(5.0),
-                           init_position_std=1e4, irls_iterations=10, process_noise=0.0)
+                           params=FilterParams(sigma_delta_r=2.0, sigma_delta_theta_deg=5.0,
+                                               init_position_std=1e4, irls_iterations=10,
+                                               process_noise=0.0))
         guess = (49.0, 51.0)
         m1 = Measurement(Modality.RTT, h_rtt(truth, s1) + 0.8, s1)
         m2 = Measurement(Modality.AOA, h_aoa(truth, s2) - 0.01, s2)
@@ -254,7 +255,7 @@ class TestReduction:
             sigma_r = float(rng.uniform(0.5, 2.0))
             sigma_t = float(rng.uniform(0.01, 0.1))
             q = float(rng.uniform(0.0, 1e-3))
-            cfg = make_filter_config("ekf", sigma_r, sigma_t, process_noise=q)
+            cfg = make_filter_config("ekf", sigma_r, sigma_t, FilterParams(process_noise=q))
             truth = rng.uniform(20, 80, 2)
             st = init_state(cfg, rng.uniform(20, 80, 2))
             mean_ref, cov_ref = st.mean.copy(), st.cov.copy()
@@ -298,7 +299,8 @@ class TestAsymmetry:
         z = Measurement(Modality.RTT, 40.0 - 25.0, self.agent)
         cfg_one = one_sided_config(irls_iterations=1)
         cfg_quad = FilterConfig(rtt_loss=LossSpec.quadratic(1.0),
-                                aoa_loss=LossSpec.quadratic(0.035), irls_iterations=1)
+                                aoa_loss=LossSpec.quadratic(0.035),
+                                params=FilterParams(irls_iterations=1))
         st_one, d1 = update(self.prior.copy(), z, cfg_one)
         st_quad, d2 = update(self.prior.copy(), z, cfg_quad)
         assert d1.weight == 1.0
@@ -395,9 +397,3 @@ class TestRobustEkfWrapper:
         for _ in range(3):
             filt.update(Measurement(Modality.RTT, d, agent))  # zero residuals
         assert filt.config.rtt_loss.lam == 1.0
-
-    def test_learned_bias_reads_state(self):
-        filt = RobustEkf(one_sided_config(), (40.0, 60.0))
-        assert learned_bias(filt.state, Modality.RTT) == 0.0
-        filt.state.mean[2] = 4.2
-        assert learned_bias(filt.state, Modality.RTT) == pytest.approx(4.2)

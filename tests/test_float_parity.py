@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterDivergenceError, Measurement,
-                             UpdateDiagnostics, init_state, make_filter_config, update)
+from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, EstimatorState, FilterDivergenceError,
+                             Measurement, UpdateDiagnostics, init_state, make_filter_config,
+                             update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, jacobian,
                               linearize, wrap_angle)
 from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
@@ -38,7 +39,7 @@ _DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
 # ---------------------------------------------------------------------------
 
 def ref_update(state, z, config):
-    spec = config.loss_for(z.modality)
+    spec = config.rtt_loss if z.modality is Modality.RTT else config.aoa_loss
     d_idx = _DELTA_INDEX[z.modality]
     x0 = state.mean
     P = state.cov
@@ -48,10 +49,10 @@ def ref_update(state, z, config):
     xi = x0
     K = None
     sigma2 = spec.sigma**2
-    for _ in range(config.irls_iterations):
+    for _ in range(config.params.irls_iterations):
         try:
             if (z.modality is Modality.AOA
-                    and h_rtt(xi[:2], z.agent) < config.min_aoa_range):
+                    and h_rtt(xi[:2], z.agent) < MIN_AOA_RANGE):
                 return state, UpdateDiagnostics(z.modality, skipped=True)
             pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
             J = ref_jacobian(z.modality, xi[:2], z.agent)
@@ -92,7 +93,7 @@ def ref_jacobian(modality, target, agent):
 def ref_float_update(state, z, config):
     modality, agent = z.modality, z.agent
     is_aoa = modality is Modality.AOA
-    spec = config.loss_for(modality)
+    spec = config.aoa_loss if is_aoa else config.rtt_loss
     d = _DELTA_INDEX[modality]
     h = h_aoa if is_aoa else h_rtt
     sigma2 = spec.sigma**2
@@ -100,9 +101,9 @@ def ref_float_update(state, z, config):
     P = state.cov.tolist()
 
     xi = x0
-    for _ in range(config.irls_iterations):
+    for _ in range(config.params.irls_iterations):
         try:
-            if is_aoa and h_rtt(xi, agent) < config.min_aoa_range:
+            if is_aoa and h_rtt(xi, agent) < MIN_AOA_RANGE:
                 return state, UpdateDiagnostics(modality, skipped=True)
             pred = h(xi, agent)
             J = ref_jacobian(modality, xi, agent)
@@ -348,8 +349,8 @@ def update_outcome(fn, state, z, cfg):
 def test_update_bit_identical_to_float_reference(kind, rounds, a, log_sd, pos, offsets,
                                                  agent, measurement):
     # every kind, ekf included, runs the drawn number of IRLS rounds
-    cfg = dataclasses.replace(make_filter_config(kind, 1.5, math.radians(2.0)),
-                              irls_iterations=rounds)
+    cfg = make_filter_config(kind, 1.5, math.radians(2.0))
+    cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, irls_iterations=rounds))
     m = np.array(a).reshape(4, 4)
     sd = 10.0 ** np.array(log_sd)
     prior = (m @ m.T + 1e-3 * np.eye(4)) * np.outer(sd, sd)
