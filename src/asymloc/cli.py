@@ -3,7 +3,8 @@
 ``asymloc run --preset canonical_medium --out results/`` executes the
 filter x planner grid and writes one per-step CSV per combination plus a
 summary CSV mirrored to stdout. ``asymloc sweep --parameter eta --values
-3,4,5,6,7 ...`` re-runs the grid per value and writes one table.
+3,4,5,6,7 ...`` re-runs the grid per value and writes one CSV, also
+mirrored to stdout.
 
 Flags are the config's ``[experiment]`` and ``[sweep]`` keys: they
 override the config file's keys and are validated like them. Every output
@@ -20,8 +21,8 @@ from pathlib import Path
 
 from . import knobs
 from .config import SCHEMA, ConfigError, ExperimentConfig, dump_config, parse_config
-from .experiment import (format_summary_table, run_grid, sweep, write_cell_csv,
-                         write_summary_csv, write_sweep_csv)
+from .experiment import (format_table, run_grid, summary_rows, sweep, sweep_rows,
+                         write_cell_csv, write_summary_csv, write_sweep_csv)
 from .sim_env import PRESETS
 
 
@@ -65,38 +66,35 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return parse_config(text, overrides)
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created, with the resolved config written to it."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(dump_config(cfg))
-    results = run_grid(cfg)
-    cells = [results[(f, p)] for f in cfg.filters for p in cfg.planners]
+    return out
+
+
+def cmd_run(cfg: ExperimentConfig) -> int:
+    out = _output_dir(cfg)
+    cells = list(run_grid(cfg).values())
     seed = cfg.scenario.seed
     for cell in cells:
         path = out / f"{cell.filter_kind}_{cell.planner_kind}.csv"
         write_cell_csv(path, cell.metrics, seed=seed, preset=cfg.preset, timing=cfg.timing)
     write_summary_csv(out / "summary.csv", cells, seed=seed, preset=cfg.preset,
                       timing=cfg.timing)
-    print(format_summary_table(cells, timing=cfg.timing))
+    print(format_table(*summary_rows(cells, cfg.timing)))
     return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep requires a [sweep] config section or --parameter/--values")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(dump_config(cfg))
+    out = _output_dir(cfg)
     rows = sweep(cfg.sweep.parameter, cfg.sweep.values, cfg)
     path = out / f"sweep_{cfg.sweep.parameter}.csv"
     write_sweep_csv(path, rows, seed=cfg.scenario.seed, preset=cfg.preset, timing=cfg.timing)
-    header = f"{'parameter':<10} {'value':>8}  {'combination':<24} {'final_rmse_m':>12}  {'steps_to_2p5m':>13}  {'avg_cost_ms':>11}"
-    print(header)
-    for r in rows:
-        steps = "none" if r.metrics.steps_to_threshold is None else str(r.metrics.steps_to_threshold)
-        cost = r.metrics.mean_cost_per_step * 1e3 if cfg.timing else 0.0
-        print(f"{r.parameter:<10} {r.value:>8.3g}  {r.filter_kind + ' (' + r.planner_kind + ')':<24} "
-              f"{r.metrics.final_rmse:>12.4f}  {steps:>13}  {cost:>11.4f}")
+    print(format_table(*sweep_rows(rows, cfg.timing)))
     return 0
 
 

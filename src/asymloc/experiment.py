@@ -270,8 +270,7 @@ SWEEP_PARAMETERS = ("p_nlos", "mu_nlos", "eta", "k_rtt", "sigma_r")
 class SweepRow:
     parameter: str
     value: float
-    filter_kind: str
-    planner_kind: str
+    combination: str
     metrics: RunMetrics
 
 
@@ -288,10 +287,8 @@ def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[Sweep
     values, so rows are paired on the underlying noise draws)."""
     rows: list[SweepRow] = []
     for v in values:
-        results = run_grid(_apply_sweep_value(base, parameter, float(v)))
-        for f in base.filters:
-            for p in base.planners:
-                rows.append(SweepRow(parameter, float(v), f, p, results[(f, p)].metrics))
+        for cell in run_grid(_apply_sweep_value(base, parameter, float(v))).values():
+            rows.append(SweepRow(parameter, float(v), cell.combination, cell.metrics))
     return rows
 
 
@@ -303,63 +300,72 @@ def _fmt(x) -> str:
     return str(float(x))
 
 
-def _steps_str(steps: Optional[int]) -> str:
-    return "none" if steps is None else str(steps)
-
-
-def _meta_line(seed: int, preset: str) -> str:
-    return f"# seed={seed} preset={preset}"
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], seed: int,
+               preset: str) -> None:
+    """One CSV: the ``# seed=... preset=...`` comment, the header, the rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={seed} preset={preset}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_cell_csv(path, metrics: RunMetrics, *, seed: int, preset: str,
                    timing: bool = True) -> None:
     """Per-step ensemble series for one cell. ``timing=False`` zeroes the
     wall-clock column so repeated runs produce byte-identical files."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(seed, preset) + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["step", "rmse", "bias_r", "bias_theta", "ercm_lambda_min", "planner_cost_s"])
-        for t in range(len(metrics.rmse_series)):
-            w.writerow([t, _fmt(metrics.rmse_series[t]), _fmt(metrics.bias_r_series[t]),
-                        _fmt(metrics.bias_theta_series[t]),
-                        _fmt(metrics.ercm_lambda_min_series[t]),
-                        _fmt(metrics.cost_series[t]) if timing else _fmt(0.0)])
+    cost = metrics.cost_series if timing else [0.0] * len(metrics.rmse_series)
+    series = zip(metrics.rmse_series, metrics.bias_r_series, metrics.bias_theta_series,
+                 metrics.ercm_lambda_min_series, cost)
+    _write_csv(path, ["step", "rmse", "bias_r", "bias_theta", "ercm_lambda_min", "planner_cost_s"],
+               ([t, *map(_fmt, values)] for t, values in enumerate(series)), seed, preset)
+
+
+def summary_header(threshold: float) -> list[str]:
+    """The columns of :func:`summary_fields`. The settle column is named
+    from the RMSE threshold: ``steps_to_2p5m`` at 2.5 m, ``steps_to_1m``
+    at 1 m."""
+    return ["combination", "final_rmse_m", f"steps_to_{threshold:g}m".replace(".", "p"),
+            "avg_cost_ms"]
 
 
 def summary_fields(combination: str, metrics: RunMetrics, timing: bool = True) -> list[str]:
+    """One cell's summary row. A cell that never settles reads ``none``;
+    ``timing=False`` writes the cost as 0.0."""
+    settle = "none" if metrics.steps_to_threshold is None else str(metrics.steps_to_threshold)
     cost_ms = metrics.mean_cost_per_step * 1e3 if timing else 0.0
-    return [combination, _fmt(metrics.final_rmse), _steps_str(metrics.steps_to_threshold), _fmt(cost_ms)]
+    return [combination, _fmt(metrics.final_rmse), settle, _fmt(cost_ms)]
+
+
+def summary_rows(cells: Iterable[CellResult],
+                 timing: bool = True) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of ``summary.csv``, one row per cell."""
+    cells = list(cells)
+    return (summary_header(cells[0].metrics.threshold),
+            [summary_fields(c.combination, c.metrics, timing) for c in cells])
+
+
+def sweep_rows(rows: Sequence[SweepRow],
+               timing: bool = True) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the sweep CSV: ``parameter,value`` and then the
+    summary columns."""
+    return (["parameter", "value", *summary_header(rows[0].metrics.threshold)],
+            [[r.parameter, _fmt(r.value), *summary_fields(r.combination, r.metrics, timing)]
+             for r in rows])
 
 
 def write_summary_csv(path, cells: Iterable[CellResult], *, seed: int, preset: str,
                       timing: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(seed, preset) + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["combination", "final_rmse_m", "steps_to_2p5m", "avg_cost_ms"])
-        for cell in cells:
-            w.writerow(summary_fields(cell.combination, cell.metrics, timing))
+    _write_csv(path, *summary_rows(cells, timing), seed, preset)
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow], *, seed: int, preset: str,
                     timing: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(seed, preset) + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["parameter", "value", "combination", "final_rmse_m",
-                    "steps_to_2p5m", "avg_cost_ms"])
-        for r in rows:
-            combo = f"{r.filter_kind} ({r.planner_kind})"
-            w.writerow([r.parameter, _fmt(r.value)]
-                       + summary_fields(combo, r.metrics, timing))
+    _write_csv(path, *sweep_rows(rows, timing), seed, preset)
 
 
-def format_summary_table(cells: Iterable[CellResult], timing: bool = True) -> str:
-    header = ["combination", "final_rmse_m", "steps_to_2p5m", "avg_cost_ms"]
-    rows = [summary_fields(c.combination, c.metrics, timing) for c in cells]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for r in rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)))
-    return "\n".join(lines)
+def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """The header and rows as left-aligned columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths))
+                     for row in [header, *rows])

@@ -3,17 +3,15 @@
 The world is a flat 2D plane (nadir-view abstraction: the agent flies at a
 known, constant altitude, so the vertical axis never enters the math). This
 module provides the observation functions for the two sensor modalities,
-their position Jacobians, both in one call for the filter's update
-(:func:`linearize`), and angle arithmetic. A point is anything indexable
-as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or a numpy array.
+each observation with its position Jacobian in one call (:func:`linearize`),
+and angle arithmetic. A point is anything indexable as ``p[0]``, ``p[1]``:
+an ``(x, y)`` tuple or a numpy array.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-
-import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -77,21 +75,6 @@ def linearize(target, agent, bearing: bool = False) -> tuple[float, float, float
             raise CoincidentPointsError("bearing Jacobian overflows at this distance")
         return math.atan2(dy, dx), d, -dy / d2, dx / d2
     return d, d, dx / d, dy / d
-
-
-def jacobian(modality: Modality, target, agent) -> np.ndarray:
-    """Gradient of the observation function w.r.t. the target position, as
-    a length-2 array (see :func:`linearize`).
-
-    Raises
-    ------
-    CoincidentPointsError
-        Where :func:`linearize` raises it (d = 0, both Jacobians singular).
-    """
-    if not isinstance(modality, Modality):
-        raise ValueError(f"unknown modality: {modality!r}")
-    _, _, j0, j1 = linearize(target, agent, modality is Modality.AOA)
-    return np.array([j0, j1])
 
 
 def wrap_angle(a: float) -> float:

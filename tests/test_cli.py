@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import re
 import time
 
 import pytest
@@ -207,6 +209,36 @@ class TestCliSweep:
         sweep_row = (tmp_path / "sweep" / "sweep_mu_nlos.csv").read_text().splitlines()[2]
         # combination,final,steps,cost must match between the two commands
         assert sweep_row.split(",", 2)[2] == run_summary
+
+
+class TestSummaryOutput:
+    """``run`` and ``sweep`` print the rows of their summary CSV."""
+
+    COMMANDS = {"run": (("run",), "summary.csv"),
+                "sweep": (("sweep", "--parameter", "eta", "--values", "3,5"), "sweep_eta.csv")}
+
+    def _outputs(self, tmp_path, capsys, command, *extra):
+        argv, csv_name = self.COMMANDS[command]
+        code = run_cli(*argv, "--preset", "canonical_medium", "--runs", "1", "--steps", "8",
+                       "--filters", "proposed,huber", "--planners", "passive,fim",
+                       "--out", str(tmp_path), *extra)
+        assert code == 0
+        rows = list(csv.reader((tmp_path / csv_name).read_text().splitlines()[1:]))
+        return rows, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stdout_rows_are_the_csv_rows(self, tmp_path, capsys, command):
+        rows, table = self._outputs(tmp_path, capsys, command)
+        assert len(table) == len(rows) == 1 + (2 if command == "sweep" else 1) * 4
+        # columns are at least two spaces apart; a combination holds one space
+        for line, row in zip(table, rows):
+            assert re.split(r"\s{2,}", line.rstrip()) == row
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_settle_column_named_from_threshold(self, tmp_path, capsys, command):
+        rows, table = self._outputs(tmp_path, capsys, command, "--threshold", "1")
+        assert rows[0][-2] == "steps_to_1m"
+        assert table[0].split()[-2] == "steps_to_1m"
 
 
 class TestFlagsAsConfigKeys:

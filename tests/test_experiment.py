@@ -6,9 +6,9 @@ import pytest
 
 from asymloc import experiment
 from asymloc.config import parse_config
-from asymloc.experiment import (CellResult, GridSpec, RunResult, aggregate, format_summary_table,
-                                run_grid, run_single, sweep, write_cell_csv, write_summary_csv,
-                                write_sweep_csv)
+from asymloc.experiment import (CellResult, GridSpec, RunResult, aggregate, format_table,
+                                run_grid, run_single, summary_rows, sweep, write_cell_csv,
+                                write_summary_csv, write_sweep_csv)
 from asymloc.filters import FilterParams, make_filter_config
 from asymloc.knobs import config_fields, key
 from asymloc.losses import LossFamily
@@ -268,9 +268,9 @@ class TestSweep:
 
     def test_single_value_sweep_equals_base_run(self):
         rows = sweep("mu_nlos", [8.0], self.BASE)
-        direct = run_grid(self.BASE)
+        direct = {cell.combination: cell for cell in run_grid(self.BASE).values()}
         for row in rows:
-            cell = direct[(row.filter_kind, row.planner_kind)]
+            cell = direct[row.combination]
             np.testing.assert_array_equal(row.metrics.rmse_series, cell.metrics.rmse_series)
 
     def test_parameter_routing(self):
@@ -312,7 +312,7 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[1] == "combination,final_rmse_m,steps_to_2p5m,avg_cost_ms"
         assert lines[2].startswith("proposed (reactive),")
-        table = format_summary_table([cell])
+        table = format_table(*summary_rows([cell]))
         assert "combination" in table and "proposed (reactive)" in table
 
     def test_sweep_csv(self, tmp_path):

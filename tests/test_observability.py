@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymloc.geometry import Modality, h_rtt, jacobian
+from asymloc.geometry import h_rtt, linearize
 from asymloc.losses import LossSpec, loss
 from asymloc.observability import (CurvatureSample, SlidingCurvatureTracker, accumulate,
                                    classify_residual, crossing_improves, eig2x2_sym)
@@ -145,7 +145,7 @@ class TestGaussNewtonAgainstFiniteDifferences:
             return sum(loss(v - h_rtt(x, a), spec) for v, a in zip(values, agents))
 
         samples = [classify_residual(v - h_rtt(truth, a), spec,
-                                     -jacobian(Modality.RTT, truth, a))
+                                     -np.array(linearize(truth, a)[2:]))
                    for v, a in zip(values, agents)]
         rep = accumulate(samples)
 

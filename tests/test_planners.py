@@ -1,14 +1,18 @@
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
+from asymloc import planners
+from asymloc.experiment import GridSpec, run_grid
 from asymloc.geometry import Modality
 from asymloc.observability import eig2x2_sym
 from asymloc.planners import (FimPlanner, LawnmowerPlanner, PlannerConfig,
                               ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                               reactive_crossing)
+from asymloc.sim_env import PRESETS, get_preset
 
 NOISE = {Modality.RTT: 1.5, Modality.AOA: 0.035}
 
@@ -171,6 +175,52 @@ class TestFimEOptimal:
         cfg = PlannerConfig(eta=5.0, candidate_count=4, arena=2.0)
         nxt = fim_e_optimal((1.0, 1.0), (1.0, 1.0), cfg, NOISE)
         np.testing.assert_array_equal(nxt, [1.0, 1.0])
+
+
+def standoff_choice(agent, estimate, cfg, noise):
+    """``fim_e_optimal``'s decision from the closed form of its score,
+    ``lambda_min = min(1/sigma_r^2, 1/(d^2 sigma_theta^2))``, over the same
+    candidates, exclusions and tie rule."""
+    ax, ay = float(agent[0]), float(agent[1])
+    e = (float(estimate[0]), float(estimate[1]))
+    range_info = 1.0 / noise[Modality.RTT] ** 2
+    n = cfg.candidate_count
+    candidates = [(ax + cfg.eta * math.cos(2.0 * math.pi * i / n),
+                   ay + cfg.eta * math.sin(2.0 * math.pi * i / n)) for i in range(n)]
+    candidates.append((ax, ay))
+    scores = []
+    for c in candidates:
+        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
+            scores.append(-math.inf)
+        else:
+            d2 = (e[0] - c[0]) ** 2 + (e[1] - c[1]) ** 2
+            scores.append(min(range_info, 1.0 / (d2 * noise[Modality.AOA] ** 2)))
+    best = max(scores)
+    if not math.isfinite(best):
+        return (ax, ay)
+    tol = 1e-9 * max(1.0, abs(best))
+    return candidates[next(i for i, s in enumerate(scores) if s >= best - tol)]
+
+
+def test_standoff_rule_makes_every_grid_decision(monkeypatch):
+    # the standoff rule in fim_e_optimal's docstring, checked against every
+    # decision the fim planner takes in a seeded grid on each preset
+    decisions = []
+
+    def recording(agent, estimate, cfg, noise):
+        pose = fim_e_optimal(agent, estimate, cfg, noise)
+        decisions.append(((float(agent[0]), float(agent[1])), tuple(estimate), cfg, noise,
+                          (float(pose[0]), float(pose[1]))))
+        return pose
+
+    monkeypatch.setattr(planners, "fim_e_optimal", recording)
+    for preset in sorted(PRESETS):
+        scenario = dataclasses.replace(get_preset(preset), steps=300)
+        run_grid(GridSpec(scenario=scenario, filters=("proposed", "huber"), planners=("fim",),
+                          n_runs=4))
+    assert len(decisions) == len(PRESETS) * 2 * 4 * 300
+    differing = [d for d in decisions if standoff_choice(*d[:4]) != d[4]]
+    assert not differing, f"{len(differing)} of {len(decisions)} decisions differ: {differing[:3]}"
 
 
 class TestLawnmower:
