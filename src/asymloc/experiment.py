@@ -4,7 +4,8 @@ A *run* is one closed-loop simulation (observe, filter, plan, move) with
 its own RNG substream (``scenario.seed + run_index``). A *cell* is one
 filter/planner combination repeated over ``n_runs`` seeds; a *grid* is the
 cross product of the requested filters and planners over a shared seed
-base, so comparisons between combinations are paired draw-for-draw.
+base, so comparisons between combinations are paired draw-for-draw, and
+the unit of work is the run index, whose :class:`World` all cells share.
 
 Per-run series are logged at every step; aggregation is a pure post-pass,
 so results can be re-aggregated (different thresholds, run subsets)
@@ -29,7 +30,7 @@ from .geometry import CoincidentPointsError, Modality
 from .knobs import check, config_fields, knob
 from .observability import SlidingCurvatureTracker, classify_residual
 from .planners import PLANNER_KINDS, PlannerConfig, make_planner
-from .sim_env import Scenario, observe_with_draw
+from .sim_env import Scenario, channel_draws, observe_with_draw
 
 ERCM_WINDOW = 30
 
@@ -88,31 +89,53 @@ class GridSpec:
             object.__setattr__(self, "planner_cfg", PlannerConfig(arena=self.scenario.arena))
 
 
-def _observe(scenario: Scenario, agent, rng: np.random.Generator, step: int):
-    """The step's :func:`observe_with_draw` result, or ``None`` with the agent
-    exactly over the target: no usable observation that step (the
-    measurements are skipped; the run keeps predicting and moving)."""
-    try:
-        return observe_with_draw(scenario, agent, rng, step)
-    except CoincidentPointsError:
-        return None
+class World:
+    """One run index's generator, its :func:`channel_draws` per step, and per
+    step the first observation made, kept with its pose: a run at that step
+    and pose reuses it (every passive run does, and every run at step 0)."""
+
+    def __init__(self, scenario: Scenario, run_seed: int):
+        self.scenario = scenario
+        self.rng = np.random.default_rng(run_seed)
+        self.draws: list[tuple] = []
+        self.memo: dict[int, tuple] = {}
+
+    def observe(self, agent, step: int):
+        """The step's :func:`observe_with_draw` result at ``agent`` from the
+        step's draws, or ``None`` with the agent exactly over the target: the
+        run skips the step's measurements but keeps predicting and moving."""
+        pose = (float(agent[0]), float(agent[1]))
+        seen = self.memo.get(step)
+        if seen is not None and seen[0] == pose:
+            return seen[1]
+        while len(self.draws) <= step:
+            self.draws.append(channel_draws(self.rng))
+        try:
+            obs = observe_with_draw(self.scenario, pose, self.draws[step], step)
+        except CoincidentPointsError:
+            obs = None
+        self.memo.setdefault(step, (pose, obs))
+        return obs
 
 
 def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
-               planner_cfg: PlannerConfig, run_seed: int) -> RunResult:
+               planner_cfg: PlannerConfig, run_seed: int,
+               world: Optional[World] = None) -> RunResult:
     """Execute one closed-loop run, deterministic for a given seed.
 
     Step order: observe at the current pose, filter predict, range update,
     bearing update, then the (timed) planner decision and the move.
+    ``world``: the run's :class:`World` when runs share one (default: its own).
     """
-    rng = np.random.default_rng(run_seed)
+    if world is None:
+        world = World(scenario, run_seed)
     steps = scenario.steps
     tx, ty = float(scenario.truth[0]), float(scenario.truth[1])
     agent = np.asarray(scenario.start, dtype=float)
     # seed the belief by backprojecting the first range/bearing pair from the
     # start pose; the wide init_position_std keeps the prior weak, and the
     # same measurements then flow through the regular update path
-    obs = _observe(scenario, agent, rng, 0)
+    obs = world.observe(agent, 0)
     if obs is None:  # start pose exactly on the target
         guess = np.array([scenario.arena / 2.0, scenario.arena / 2.0])
     else:
@@ -137,7 +160,7 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
         try:
             filt.predict()
             if t > 0:
-                obs = _observe(scenario, agent, rng, t)
+                obs = world.observe(agent, t)
             if obs is not None:
                 m_rtt, m_aoa, _, clamped = obs
                 n_clamped += int(clamped)
@@ -227,38 +250,39 @@ class CellResult:
         return [sum(t < end for end in ends) for t in range(len(self.runs[0].errors))]
 
 
-def _run_job(args) -> RunResult:
-    scenario, fcfg, planner_kind, pcfg, run_seed = args
-    return run_single(scenario, fcfg, planner_kind, pcfg, run_seed)
+def _run_index(args) -> list[RunResult]:
+    """One run index of every cell, in cell order, sharing one :class:`World`."""
+    scenario, cells, planner_cfg, run_seed = args
+    world = World(scenario, run_seed)
+    return [run_single(scenario, fcfg, p, planner_cfg, run_seed, world) for fcfg, p in cells]
 
 
 def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     """Run every filter x planner cell of the grid.
 
-    Runs are independent; with ``n_jobs > 1`` they are fanned out to a
-    process pool. Results are reduced in run-index order either way, so
-    the output is identical whatever the worker count.
+    One job runs index ``i`` (seed ``scenario.seed + i``) in every cell
+    over one shared :class:`World`; with ``n_jobs > 1`` the jobs are fanned
+    out to a process pool. Cells are reassembled in run-index order either
+    way, so every run equals the run made alone, at any worker count.
     """
     cells = [(f, p) for f in grid.filters for p in grid.planners]
-    jobs = []
-    for f, p in cells:
-        fcfg = make_filter_config(f, grid.scenario.sigma_r, grid.scenario.sigma_theta_rad,
-                                  grid.filter_params)
-        for i in range(grid.n_runs):
-            jobs.append((grid.scenario, fcfg, p, grid.planner_cfg, grid.scenario.seed + i))
+    sc = grid.scenario
+    configs = [(make_filter_config(f, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params), p)
+               for f, p in cells]
+    jobs = [(sc, configs, grid.planner_cfg, sc.seed + i) for i in range(grid.n_runs)]
 
     if grid.n_jobs > 1:
         # imported here: multiprocessing adds about 2 MB to every
         # single-process run that never uses it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=grid.n_jobs) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (8 * grid.n_jobs))))
+            results = list(pool.map(_run_index, jobs, chunksize=max(1, len(jobs) // (8 * grid.n_jobs))))
     else:
-        results = [_run_job(j) for j in jobs]
+        results = [_run_index(j) for j in jobs]
 
     out: dict[tuple[str, str], CellResult] = {}
-    for idx, (f, p) in enumerate(cells):
-        cell_runs = results[idx * grid.n_runs:(idx + 1) * grid.n_runs]
+    for c, (f, p) in enumerate(cells):
+        cell_runs = [runs[c] for runs in results]
         out[(f, p)] = CellResult(f, p, aggregate(cell_runs, grid.threshold), cell_runs)
     return out
 

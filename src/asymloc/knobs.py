@@ -7,10 +7,10 @@ both ways (:func:`parse`, :func:`dump`), and the config schema and CLI
 flags built on them (:mod:`asymloc.config`, :mod:`asymloc.cli`).
 
 Kinds: ``float``, ``int``, ``bool``, ``text`` (inferred from the default),
-``name`` (one of ``choices``) and the comma lists ``floats`` and ``names``.
-A list of fixed length ``n`` may name a constructor ``make`` for its
-values, and with a ``None`` default it also accepts ``none``. Numbers must
-be finite.
+``name`` (one of ``choices``) and the comma lists ``floats`` and ``names``
+(distinct names). A list of fixed length ``n`` may name a constructor
+``make`` for its values, and with a ``None`` default it also accepts
+``none``. Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ def _check_value(f: dataclasses.Field, value) -> None:
     items = () if value is None else _items(f, value)
     if value is not None and not items:
         raise ValueError("empty list")
+    if m["kind"] == "names" and len(set(items)) != len(items):
+        raise ValueError(f"repeated entries in {','.join(items)}")
     for v in items:
         if "choices" in m and v not in m["choices"]:
             raise ValueError(f"unknown entry {v!r}; expected one of {m['choices']}")

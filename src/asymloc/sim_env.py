@@ -10,11 +10,11 @@ segment, with a reduced stochastic rate elsewhere.
 Angles in `Scenario` are degrees (the configuration boundary); everything
 downstream of the ``*_rad`` properties is radians.
 
-Randomness comes from a caller-supplied ``numpy.random.Generator``. All
-draws happen every step in a fixed order and are scaled by the scenario
-parameters afterwards, so runs with the same seed stay draw-for-draw
-paired across parameter sweeps (only the scaling changes, never the
-underlying sample path).
+Randomness enters only through :func:`channel_draws`: six raw draws per
+step in a fixed order, whatever the pose, which the channel then scales
+by the scenario parameters. So runs with the same seed stay draw-for-draw
+paired across parameter sweeps and poses (only the scaling changes, never
+the underlying sample path).
 """
 
 from __future__ import annotations
@@ -140,20 +140,19 @@ class ChannelDraw:
             raise ValueError("range NLOS bias must be non-negative")
 
 
-def sample_channel(scenario: Scenario, agent, rng: np.random.Generator) -> ChannelDraw:
-    """Draw one step of the channel at the given agent pose.
+def channel_draws(rng: np.random.Generator) -> tuple:
+    """One step's six raw draws, in order: the shared and the bearing
+    blockage coins, the range-bias exponential, and the bearing-bias,
+    range-noise and bearing-noise standard normals."""
+    return (rng.random(), rng.random(), rng.standard_exponential(),
+            rng.standard_normal(), rng.standard_normal(), rng.standard_normal())
 
-    The five underlying draws (two coins, one exponential, two normals plus
-    the bearing-bias normal) are taken unconditionally each call; parameter
-    values only scale or gate them.
-    """
-    u_shared = rng.random()
-    u_aoa = rng.random()
-    e_bias = rng.standard_exponential()
-    z_btheta = rng.standard_normal()
-    z_r = rng.standard_normal()
-    z_theta = rng.standard_normal()
 
+def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
+    """One step of the channel at the given agent pose, from the step's
+    :func:`channel_draws`. All six draws are used whatever the pose;
+    parameter values only scale or gate them."""
+    u_shared, u_aoa, e_bias, z_btheta, z_r, z_theta = draws
     if scenario.obstacle is not None:
         blocked = segment_intersects_rect(agent, scenario.truth, scenario.obstacle)
         p = 1.0 if blocked else scenario.p_nlos_clear
@@ -172,17 +171,17 @@ def sample_channel(scenario: Scenario, agent, rng: np.random.Generator) -> Chann
     )
 
 
-def observe_with_draw(scenario: Scenario, agent, rng: np.random.Generator,
+def observe_with_draw(scenario: Scenario, agent, draws: tuple,
                       step: int = 0) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
     """Generate the step's (range, bearing) measurement pair, taken from the
-    agent position ``(x, y)``.
+    agent position ``(x, y)``, from the step's :func:`channel_draws`.
 
     Returns the pair plus the channel draw and whether the range had to be
     clamped at zero (noise can't make a physical range negative). Raises
-    ``CoincidentPointsError`` (after the step's draws) on the target itself.
+    ``CoincidentPointsError`` on the target itself.
     """
     pose = (float(agent[0]), float(agent[1]))
-    draw = sample_channel(scenario, pose, rng)
+    draw = sample_channel(scenario, pose, draws)
     true_range = h_rtt(scenario.truth, pose)
     true_bearing = h_aoa(scenario.truth, pose)
 

@@ -59,6 +59,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment.preset"):
             parse_config("[experiment]\npreset = bogus\n")
 
+    @pytest.mark.parametrize("text, path", [
+        ("filters = proposed,huber,proposed\n", "experiment.filters"),
+        ("planners = fim,fim\n", "experiment.planners"),
+    ])
+    def test_repeated_names_rejected(self, text, path):
+        # a repeated cell would be simulated twice and written once
+        with pytest.raises(ConfigError, match=f"{path}: repeated entries"):
+            parse_config(MINIMAL + text)
+
     def test_overrides_apply(self):
         text = (MINIMAL + "seed = 9\nruns = 7\nsteps = 42\nfilters = proposed\n"
                 "[scenario]\np_nlos = 0.4\nobstacle = 50,35,25,8\n"
@@ -248,6 +257,9 @@ class TestFlagsAsConfigKeys:
         (("sweep", "--parameter", "eta", "--values", ","), "sweep.values"),
         (("sweep", "--parameter", "eta", "--values", "1,x"), "sweep.values"),
         (("sweep", "--parameter", "bogus", "--values", "1"), "sweep.parameter"),
+        (("run", "--filters", "proposed,proposed"), "experiment.filters"),
+        (("sweep", "--parameter", "eta", "--values", "3", "--planners", "passive,passive"),
+         "experiment.planners"),
     ])
     def test_flag_errors_name_their_config_key(self, tmp_path, capsys, argv, path):
         code = run_cli(*argv, "--preset", "canonical_medium", "--steps", "2",
@@ -305,7 +317,8 @@ def knob_strategy(f):
     if kind == "name":
         return st.sampled_from(m["choices"])
     if kind == "names":
-        return st.lists(st.sampled_from(m["choices"]), min_size=1, max_size=4).map(tuple)
+        return st.lists(st.sampled_from(m["choices"]), min_size=1, max_size=4,
+                        unique=True).map(tuple)
     return st.from_regex(r"[A-Za-z0-9_./-]{0,20}", fullmatch=True)
 
 

@@ -6,14 +6,14 @@ import pytest
 
 from asymloc import experiment
 from asymloc.config import parse_config
-from asymloc.experiment import (CellResult, GridSpec, RunResult, aggregate, format_table,
-                                run_grid, run_single, summary_rows, sweep, write_cell_csv,
-                                write_summary_csv, write_sweep_csv)
+from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregate,
+                                format_table, run_grid, run_single, summary_rows, sweep,
+                                write_cell_csv, write_summary_csv, write_sweep_csv)
 from asymloc.filters import FilterParams, make_filter_config
 from asymloc.knobs import config_fields, key
 from asymloc.losses import LossFamily
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
-from asymloc.sim_env import Scenario, get_preset
+from asymloc.sim_env import Scenario, get_preset, observe_with_draw
 
 
 def quiet_scenario(**kw):
@@ -197,7 +197,70 @@ class TestRunSingle:
             run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=0)
 
 
+class TestWorld:
+    def test_memo_hit_returns_the_stored_observation(self):
+        sc = get_preset("obstacle")
+        world = World(sc, 5)
+        first = world.observe(np.array(sc.start), 0)
+        second = world.observe((10.0, 10.0), 0)
+        assert second is first
+        assert len(world.draws) == 1
+        world.observe((30.0, 12.0), 1)
+        assert world.observe((30.0, 12.0), 1) is world.observe(np.array([30.0, 12.0]), 1)
+        assert len(world.draws) == 2
+
+    def test_two_poses_at_one_step_see_the_same_draws(self):
+        # without an obstacle the channel does not depend on the pose, so
+        # two poses observed at one step get the same channel realization
+        sc = get_preset("canonical_medium")
+        world = World(sc, 3)
+        for t in range(4):
+            a = world.observe((10.0 + t, 10.0), t)
+            b = world.observe((80.0, 25.0 + t), t)
+            assert a is not b
+            assert a[2] == b[2]
+            assert a[0].value != b[0].value
+        assert len(world.draws) == 4
+
+    def test_other_poses_are_observed_from_the_steps_draws(self):
+        sc = get_preset("obstacle")
+        world = World(sc, 9)
+        world.observe(sc.start, 0)
+        for pose in ((50.0, 10.0), (20.0, 70.0)):
+            m_rtt, m_aoa, draw, _ = world.observe(pose, 0)
+            want = observe_with_draw(sc, pose, world.draws[0], 0)
+            assert (m_rtt, m_aoa, draw) == want[:3]
+        assert len(world.draws) == 1
+
+
 class TestGrid:
+    @pytest.mark.parametrize("preset", ["canonical_medium", "obstacle"])
+    def test_every_run_equals_the_run_made_alone(self, preset):
+        # a shared world must give each run the observations it would make
+        # by itself: every per-step series (bar the wall-clock cost) equal to
+        # the bit, at one worker and at two
+        sc = dataclasses.replace(get_preset(preset), steps=60)
+        grid = GridSpec(scenario=sc, filters=("proposed", "huber", "ekf"),
+                        planners=("passive", "reactive", "fim"), n_runs=3)
+        grids = [run_grid(grid), run_grid(dataclasses.replace(grid, n_jobs=2))]
+        for (f, p), cell in grids[0].items():
+            fc = make_filter_config(f, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params)
+            for i in range(grid.n_runs):
+                alone = run_single(sc, fc, p, grid.planner_cfg, run_seed=sc.seed + i)
+                for shared in (g[(f, p)].runs[i] for g in grids):
+                    for name in ("errors", "bias_r", "bias_theta", "lambda_min", "trajectory"):
+                        assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), \
+                            (f, p, i, name)
+                    assert (shared.n_clamped, shared.aborted_at) == \
+                        (alone.n_clamped, alone.aborted_at)
+
+    def test_repeated_cells_rejected(self):
+        sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
+        with pytest.raises(ValueError, match="filters: repeated entries"):
+            GridSpec(scenario=sc, filters=("proposed", "proposed"))
+        with pytest.raises(ValueError, match="planners: repeated entries"):
+            GridSpec(scenario=sc, planners=("passive", "fim", "passive"))
+
     def test_prefix_consistency_in_run_count(self):
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=30)
         small = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
-from asymloc.sim_env import (PRESETS, Rect, Scenario, get_preset,
+from asymloc.sim_env import (PRESETS, Rect, Scenario, channel_draws, get_preset,
                              observe_with_draw, sample_channel, segment_intersects_rect)
 
 
@@ -75,38 +75,59 @@ class TestScenarioValidation:
 
 
 class TestSampleChannel:
+    def test_channel_draws_keep_the_scalar_call_order(self):
+        # the raw stream is the six scalar generator calls of each step, in
+        # this order, so a world drawn step by step matches the one drawn
+        # inside the channel before the draws were split out of it
+        n = 200
+        rng = np.random.default_rng(17)
+        got = [channel_draws(rng) for _ in range(n)]
+        rng = np.random.default_rng(17)
+        want = []
+        for _ in range(n):
+            u_shared = rng.random()
+            u_aoa = rng.random()
+            e_bias = rng.standard_exponential()
+            z_btheta = rng.standard_normal()
+            z_r = rng.standard_normal()
+            z_theta = rng.standard_normal()
+            want.append((u_shared, u_aoa, e_bias, z_btheta, z_r, z_theta))
+        assert got == want
+        assert all(type(v) is float for v in got[0])
+
     def test_los_only_when_p_zero(self):
         sc = Scenario(p_nlos=0.0)
         rng = np.random.default_rng(0)
         for _ in range(500):
-            d = sample_channel(sc, sc.start, rng)
+            d = sample_channel(sc, sc.start, channel_draws(rng))
             assert not d.is_nlos
             assert d.b_r == 0.0 and d.b_theta == 0.0
 
     def test_bias_mean_matches_configuration(self):
         sc = Scenario(p_nlos=0.9, mu_nlos=8.0)
         rng = np.random.default_rng(1)
-        draws = [sample_channel(sc, sc.start, rng) for _ in range(100_000)]
+        draws = [sample_channel(sc, sc.start, channel_draws(rng)) for _ in range(100_000)]
         nlos_b = [d.b_r for d in draws if d.is_nlos]
         assert np.mean(nlos_b) == pytest.approx(8.0, abs=0.1)
 
     def test_nlos_rate_within_one_percent(self):
         sc = Scenario(p_nlos=0.9)
         rng = np.random.default_rng(2)
-        hits = sum(sample_channel(sc, sc.start, rng).is_nlos for _ in range(100_000))
+        hits = sum(sample_channel(sc, sc.start, channel_draws(rng)).is_nlos for _ in range(100_000))
         assert hits / 100_000 == pytest.approx(0.9, abs=0.01)
 
     def test_bias_never_negative(self):
         sc = Scenario(p_nlos=0.9, mu_nlos=8.0)
         rng = np.random.default_rng(3)
-        assert all(sample_channel(sc, sc.start, rng).b_r >= 0.0 for _ in range(1_000_000))
+        assert all(sample_channel(sc, sc.start, channel_draws(rng)).b_r >= 0.0
+                   for _ in range(1_000_000))
 
     def test_obstacle_forces_nlos(self):
         rect = Rect(50.0, 50.0, 10.0, 10.0)
         sc = Scenario(truth=(80.0, 50.0), start=(10.0, 50.0), obstacle=rect, p_nlos_clear=0.0)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            assert sample_channel(sc, (10.0, 50.0), rng).is_nlos
+            assert sample_channel(sc, (10.0, 50.0), channel_draws(rng)).is_nlos
 
     def test_obstacle_shadow_is_spatially_coherent(self):
         # with the clear-sky rate at zero the NLOS indicator is exactly the
@@ -117,7 +138,7 @@ class TestSampleChannel:
         for x in np.linspace(0.0, 100.0, 101):
             agent = (float(x), 20.0)
             expected = segment_intersects_rect(agent, sc.truth, rect)
-            assert sample_channel(sc, agent, rng).is_nlos == expected
+            assert sample_channel(sc, agent, channel_draws(rng)).is_nlos == expected
 
     def test_draws_paired_across_parameter_values(self):
         # same seed, different channel parameters: the thermal noise samples
@@ -126,15 +147,15 @@ class TestSampleChannel:
         alt = dataclasses.replace(base, p_nlos=0.9, mu_nlos=15.0)
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(300):
-            d1 = sample_channel(base, base.start, r1)
-            d2 = sample_channel(alt, alt.start, r2)
+            d1 = sample_channel(base, base.start, channel_draws(r1))
+            d2 = sample_channel(alt, alt.start, channel_draws(r2))
             assert d1.eps_r == d2.eps_r
             assert d1.eps_theta == d2.eps_theta
 
     def test_independent_coins_when_not_shared(self):
         sc = Scenario(p_nlos=0.5, shared_nlos_flag=False)
         rng = np.random.default_rng(8)
-        draws = [sample_channel(sc, sc.start, rng) for _ in range(2000)]
+        draws = [sample_channel(sc, sc.start, channel_draws(rng)) for _ in range(2000)]
         differing = sum(d.is_nlos != d.is_nlos_aoa for d in draws)
         assert differing > 200  # half-and-half coins disagree often
 
@@ -145,7 +166,7 @@ class TestObserve:
                       delta_r=1.5, delta_theta_deg=-3.0)
         rng = np.random.default_rng(0)
         agent = (10.0, 10.0)
-        m_rtt, m_aoa = observe_with_draw(sc, agent, rng)[:2]
+        m_rtt, m_aoa = observe_with_draw(sc, agent, channel_draws(rng))[:2]
         assert m_rtt.value == pytest.approx(h_rtt(sc.truth, agent) + 1.5, abs=1e-6)
         assert m_aoa.value == pytest.approx(
             wrap_angle(h_aoa(sc.truth, agent) + math.radians(-3.0)), abs=1e-6)
@@ -155,7 +176,7 @@ class TestObserve:
         rng = np.random.default_rng(1)
         clamped_any = False
         for _ in range(5000):
-            m_rtt, _, _, clamped = observe_with_draw(sc, (49.0, 50.0), rng)
+            m_rtt, _, _, clamped = observe_with_draw(sc, (49.0, 50.0), channel_draws(rng))
             assert m_rtt.value >= 0.0
             clamped_any = clamped_any or clamped
         assert clamped_any
@@ -167,7 +188,8 @@ class TestObserve:
         for seq, seed in ((seq1, 9), (seq2, 9)):
             rng = np.random.default_rng(seed)
             for t in range(100):
-                m_rtt, m_aoa = observe_with_draw(sc, (10.0 + t, 10.0), rng, step=t)[:2]
+                m_rtt, m_aoa = observe_with_draw(sc, (10.0 + t, 10.0), channel_draws(rng),
+                                                 step=t)[:2]
                 seq.append((m_rtt.value, m_aoa.value))
         assert seq1 == seq2
 
@@ -175,13 +197,13 @@ class TestObserve:
         sc = Scenario(sigma_b_theta_deg=120.0)
         rng = np.random.default_rng(11)
         for _ in range(2000):
-            _, m_aoa = observe_with_draw(sc, (90.0, 90.0), rng)[:2]
+            _, m_aoa = observe_with_draw(sc, (90.0, 90.0), channel_draws(rng))[:2]
             assert -math.pi < m_aoa.value <= math.pi
 
     def test_measurement_metadata(self):
         sc = get_preset("canonical_medium")
         rng = np.random.default_rng(12)
-        m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), rng, step=17)[:2]
+        m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), channel_draws(rng), step=17)[:2]
         assert m_rtt.modality is Modality.RTT
         assert m_aoa.modality is Modality.AOA
         assert m_rtt.step == 17 and m_aoa.step == 17
