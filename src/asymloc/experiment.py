@@ -169,7 +169,7 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                 for diag, spec in ((d_rtt, filt.config.rtt_loss), (d_aoa, filt.config.aoa_loss)):
                     if not diag.skipped:
                         tracker.add(classify_residual(diag.residual, spec, diag.jacobian_pos, t))
-            ex, ey, br, bt = filt.state.mean.tolist()
+            ex, ey, br, bt = filt.state.m
             est_x.append(ex)
             est_y.append(ey)
             bias_r.append(br)

@@ -12,6 +12,9 @@ textbook update.
 Three stock configurations are provided: ``proposed`` (one-sided range
 loss + symmetric bearing loss), ``huber`` (symmetric on both), and ``ekf``
 (plain quadratic, single update iteration -- the textbook filter).
+
+The belief is held as Python floats (:class:`EstimatorState`), so
+:func:`predict` and :func:`update` build no arrays.
 """
 
 from __future__ import annotations
@@ -51,15 +54,55 @@ class Measurement:
     step: int = 0
 
 
-@dataclass
 class EstimatorState:
-    """Gaussian belief over the augmented state: mean (4,) and covariance (4, 4)."""
+    """Gaussian belief over the augmented state as float tuples: ``m``, the
+    4 mean entries, and ``p``, the 10 distinct covariance entries row by row
+    from the diagonal (``p00, p01, p02, p03, p11, ..., p33``). ``mean`` (4,)
+    and ``cov`` (4, 4) return fresh read-only arrays; assigning them parses
+    an array and refuses (``ValueError``) a covariance not exactly symmetric.
+    """
 
-    mean: np.ndarray
-    cov: np.ndarray
+    __slots__ = ("m", "p")
+
+    def __init__(self, mean, cov):
+        self.mean = mean
+        self.cov = cov
+
+    @property
+    def mean(self) -> np.ndarray:
+        out = np.array(self.m)
+        out.flags.writeable = False
+        return out
+
+    @mean.setter
+    def mean(self, value) -> None:
+        a = np.asarray(value, dtype=float)
+        if a.shape != (STATE_DIM,):
+            raise ValueError(f"mean must have shape (4,), got {a.shape}")
+        self.m = tuple(a.tolist())
+
+    @property
+    def cov(self) -> np.ndarray:
+        out = np.array(self.p)[_UPPER_INDEX]
+        out.flags.writeable = False
+        return out
+
+    @cov.setter
+    def cov(self, value) -> None:
+        a = np.asarray(value, dtype=float)
+        if a.shape != (STATE_DIM, STATE_DIM) or not np.array_equal(a, a.T, equal_nan=True):
+            raise ValueError(f"cov must be exactly symmetric with shape (4, 4), got {a.shape}")
+        self.p = tuple(a[np.triu_indices(STATE_DIM)].tolist())
 
     def copy(self) -> "EstimatorState":
-        return EstimatorState(self.mean.copy(), self.cov.copy())
+        return _state(self.m, self.p)
+
+
+def _state(m: tuple, p: tuple) -> EstimatorState:
+    """An :class:`EstimatorState` from its float tuples, without parsing."""
+    state = object.__new__(EstimatorState)
+    state.m, state.p = m, p
+    return state
 
 
 @dataclass(frozen=True)
@@ -153,21 +196,20 @@ def make_filter_config(kind: str, sigma_r: float, sigma_theta: float,
 def init_state(config: FilterConfig, initial_guess) -> EstimatorState:
     """Initial belief: guessed position, zero offsets, diagonal covariance
     carrying the position spread and the offset priors."""
-    guess = np.asarray(initial_guess, dtype=float)
-    mean = np.array([guess[0], guess[1], 0.0, 0.0])
+    x, y = np.asarray(initial_guess, dtype=float).tolist()[:2]
     p = config.params
-    cov = np.diag([p.init_position_std**2, p.init_position_std**2,
-                   p.sigma_delta_r**2, p.sigma_delta_theta_rad**2])
-    return EstimatorState(mean, cov)
+    var = p.init_position_std**2
+    return _state((x, y, 0.0, 0.0), (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, p.sigma_delta_r**2, 0.0,
+                                     p.sigma_delta_theta_rad**2))
 
 
 def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     """Time update for the static-target model: mean unchanged, covariance
     grows by ``process_noise * I``."""
-    cov = state.cov.copy()
-    if process_noise > 0.0:
-        cov.flat[::STATE_DIM + 1] += process_noise
-    return EstimatorState(state.mean.copy(), cov)
+    q, p = process_noise, state.p
+    if q > 0.0:
+        p = (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5], p[6], p[7] + q, p[8], p[9] + q)
+    return _state(state.m, p)
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -194,7 +236,7 @@ def update(state: EstimatorState, z: Measurement,
     ``K = PH / S`` as ``k0``..``k3``. The Joseph form
     ``(I - K H^T) P (I - K H^T)^T + R_eff K K^T`` is expanded as
     ``P - K PH^T - PH K^T + S K K^T`` into the ten upper entries
-    ``n00``..``n33``, which fill both triangles.
+    ``n00``..``n33``, which are the posterior's ``p``.
 
     A measurement taken with the estimate coincident with the agent is
     skipped (state returned unchanged) since the observation model is
@@ -205,13 +247,12 @@ def update(state: EstimatorState, z: Measurement,
     is_aoa = modality is Modality.AOA
     spec = config.aoa_loss if is_aoa else config.rtt_loss
     sigma2 = spec.sigma**2
-    m0, m1, m2, m3 = state.mean.tolist()
-    ((p00, p01, p02, p03), (p10, p11, p12, p13),
-     (p20, p21, p22, p23), (p30, p31, p32, p33)) = state.cov.tolist()
+    m0, m1, m2, m3 = state.m
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = state.p
     if is_aoa:
         md, c0, c1, c2, c3 = m3, p03, p13, p23, p33
     else:
-        md, c0, c1, c2, c3 = m2, p02, p12, p22, p32
+        md, c0, c1, c2, c3 = m2, p02, p12, p22, p23
 
     e0, e1, e2, e3 = m0, m1, m2, m3
     for _ in range(config.params.irls_iterations):
@@ -227,9 +268,9 @@ def update(state: EstimatorState, z: Measurement,
             r = wrap_angle(r)
         w = irls_weight(r, spec)
         h0 = p00 * j0 + p01 * j1 + c0
-        h1 = p10 * j0 + p11 * j1 + c1
-        h2 = p20 * j0 + p21 * j1 + c2
-        h3 = p30 * j0 + p31 * j1 + c3
+        h1 = p01 * j0 + p11 * j1 + c1
+        h2 = p02 * j0 + p12 * j1 + c2
+        h3 = p03 * j0 + p13 * j1 + c3
         S = j0 * h0 + j1 * h1 + (h3 if is_aoa else h2) + sigma2 / w
         k0, k1, k2, k3 = h0 / S, h1 / S, h2 / S, h3 / S
         # relinearized innovation keeps the update anchored at the prior mean
@@ -253,8 +294,7 @@ def update(state: EstimatorState, z: Measurement,
         raise FilterDivergenceError(
             f"{modality.value} update at step {z.step} gave mean {[e0, e1, e2, e3]} "
             f"and variances {[n00, n11, n22, n33]}")
-    upper = np.array([n00, n01, n02, n03, n11, n12, n13, n22, n23, n33])
-    new_state = EstimatorState(np.array([e0, e1, e2, e3]), upper[_UPPER_INDEX])
+    new_state = _state((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
     # ones that produced the applied gain

@@ -33,6 +33,63 @@ class TestInit:
         assert st.mean[2] == st.mean[3] == 0.0
 
 
+class TestEstimatorState:
+    def test_float_layout(self):
+        cov = np.arange(16.0).reshape(4, 4)
+        st = EstimatorState(np.array([1.0, 2.0, 3.0, 4.0]), cov + cov.T)
+        assert st.m == (1.0, 2.0, 3.0, 4.0)
+        assert st.p == (0.0, 5.0, 10.0, 15.0, 10.0, 15.0, 20.0, 20.0, 25.0, 30.0)
+        np.testing.assert_array_equal(st.cov, cov + cov.T)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((2, 2))])
+    def test_mean_of_wrong_shape_is_refused(self, bad):
+        with pytest.raises(ValueError, match="mean must have shape"):
+            EstimatorState(bad, np.eye(4))
+        st = EstimatorState(np.zeros(4), np.eye(4))
+        with pytest.raises(ValueError, match="mean must have shape"):
+            st.mean = bad
+
+    @pytest.mark.parametrize("bad", [np.eye(3), np.eye(5), np.ones(16), np.ones((4, 4, 1))])
+    def test_cov_of_wrong_shape_is_refused(self, bad):
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            EstimatorState(np.zeros(4), bad)
+
+    def test_non_symmetric_cov_is_refused(self):
+        # the state keeps one triangle, so a differing lower one would be lost
+        st = init_state(one_sided_config(), (50.0, 50.0))
+        before = st.cov
+        for i, j in ((1, 0), (3, 2), (0, 3)):
+            bad = np.eye(4)
+            bad[i, j] = 0.1
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                st.cov = bad
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                EstimatorState(np.zeros(4), bad)
+        near = np.eye(4)
+        near[0, 1], near[1, 0] = 0.1, np.nextafter(0.1, 1.0)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            st.cov = near
+        np.testing.assert_array_equal(st.cov, before)
+
+    def test_views_are_read_only_and_fresh(self):
+        st = init_state(one_sided_config(), (50.0, 50.0))
+        with pytest.raises(ValueError, match="read-only"):
+            st.mean[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            st.cov[0, 0] = 1.0
+        mean = st.mean.copy()
+        mean[0] = 1.0
+        assert st.mean[0] == 50.0
+        assert st.mean is not st.mean
+
+    def test_copy_is_independent(self):
+        st = init_state(one_sided_config(), (50.0, 50.0))
+        other = st.copy()
+        other.cov = np.eye(4)
+        other.mean = np.ones(4)
+        assert st.cov[0, 0] == 1600.0 and st.mean[0] == 50.0
+
+
 class TestPredict:
     def test_zero_noise_identity(self):
         st = init_state(one_sided_config(), (10.0, 10.0))

@@ -11,6 +11,8 @@ with the same skip and saturation decisions. Against the float update that
 linearized through ``h_rtt``/``h_aoa`` and ``ref_jacobian`` (``ref_float_update``)
 it does the same operations in the same order, so everything must be equal
 bit for bit, and so must :func:`linearize` against those functions.
+``predict`` adds the process noise to the float diagonal where the array
+version (``ref_predict``) added it through ``cov.flat``: equal bit for bit.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, EstimatorState, FilterDivergenceError,
                              Measurement, UpdateDiagnostics, init_state, make_filter_config,
-                             update)
+                             predict, update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, linearize,
                               wrap_angle)
 from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
@@ -37,6 +39,13 @@ _DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
 # ---------------------------------------------------------------------------
 # numpy references
 # ---------------------------------------------------------------------------
+
+def ref_predict(state, process_noise):
+    cov = state.cov.copy()
+    if process_noise > 0.0:
+        cov.flat[::5] += process_noise
+    return EstimatorState(state.mean.copy(), cov)
+
 
 def ref_update(state, z, config):
     spec = config.rtt_loss if z.modality is Modality.RTT else config.aoa_loss
@@ -243,6 +252,25 @@ def random_prior(rng, scale):
     corr = corr / np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
     cov = corr * np.outer(sd, sd)
     return 0.5 * (cov + cov.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 1.0, 10.0, 40.0]),
+       q=st.one_of(st.sampled_from([0.0, 1e-4]), st.floats(0.0, 100.0)),
+       steps=st.integers(1, 3))
+def test_predict_bit_identical_to_array_reference(seed, scale, q, steps):
+    rng = np.random.default_rng(seed)
+    mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
+    cov = random_prior(rng, scale)
+    state = EstimatorState(mean, cov)
+    # the float layout gives back the bits it was built from
+    assert state.mean.tobytes() == mean.tobytes()
+    assert state.cov.tobytes() == cov.tobytes()
+    got = want = state
+    for _ in range(steps):
+        got, want = predict(got, q), ref_predict(want, q)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.cov.tobytes() == want.cov.tobytes()
 
 
 def assert_update_parity(state, z, cfg):
