@@ -9,7 +9,7 @@ from .filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergen
                       FilterParams, Measurement, RobustEkf, UpdateDiagnostics, init_state,
                       make_filter_config, predict, update)
 from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTracker,
-                            accumulate, classify_residual, crossing_improves)
+                            accumulate, classify_residual, crossing_improves, eig_sym)
 from .planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfig,
                        ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                        reactive_crossing)

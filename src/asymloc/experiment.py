@@ -87,6 +87,12 @@ class GridSpec:
         check(self)
         if self.planner_cfg is None:
             object.__setattr__(self, "planner_cfg", PlannerConfig(arena=self.scenario.arena))
+        _check_arena(self.scenario, self.planner_cfg)
+
+
+def _check_arena(scenario: Scenario, planner_cfg: PlannerConfig) -> None:
+    if planner_cfg.arena != scenario.arena:
+        raise ValueError(f"planner arena {planner_cfg.arena} != scenario arena {scenario.arena}")
 
 
 class World:
@@ -126,22 +132,24 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     Step order: observe at the current pose, filter predict, range update,
     bearing update, then the (timed) planner decision and the move.
     ``world``: the run's :class:`World` when runs share one (default: its own).
+    ``planner_cfg.arena`` must equal ``scenario.arena`` (``ValueError``).
     """
+    _check_arena(scenario, planner_cfg)
     if world is None:
         world = World(scenario, run_seed)
     steps = scenario.steps
     tx, ty = float(scenario.truth[0]), float(scenario.truth[1])
-    agent = np.asarray(scenario.start, dtype=float)
+    agent = (float(scenario.start[0]), float(scenario.start[1]))
     # seed the belief by backprojecting the first range/bearing pair from the
     # start pose; the wide init_position_std keeps the prior weak, and the
     # same measurements then flow through the regular update path
     obs = world.observe(agent, 0)
     if obs is None:  # start pose exactly on the target
-        guess = np.array([scenario.arena / 2.0, scenario.arena / 2.0])
+        guess = (scenario.arena / 2.0, scenario.arena / 2.0)
     else:
-        guess = np.clip(agent + obs[0].value * np.array([math.cos(obs[1].value),
-                                                         math.sin(obs[1].value)]),
-                        0.0, scenario.arena)
+        r, theta = obs[0].value, obs[1].value
+        guess = (min(max(agent[0] + r * math.cos(theta), 0.0), scenario.arena),
+                 min(max(agent[1] + r * math.sin(theta), 0.0), scenario.arena))
     filt = RobustEkf(filter_cfg, guess)
     noise = {Modality.RTT: filter_cfg.rtt_loss.sigma, Modality.AOA: filter_cfg.aoa_loss.sigma}
     planner = make_planner(planner_kind, planner_cfg, noise)

@@ -55,18 +55,24 @@ class Measurement:
 
 
 class EstimatorState:
-    """Gaussian belief over the augmented state as float tuples: ``m``, the
-    4 mean entries, and ``p``, the 10 distinct covariance entries row by row
-    from the diagonal (``p00, p01, p02, p03, p11, ..., p33``). ``mean`` (4,)
-    and ``cov`` (4, 4) return fresh read-only arrays; assigning them parses
-    an array and refuses (``ValueError``) a covariance not exactly symmetric.
+    """Gaussian belief over the augmented state, a value held as float tuples:
+    ``m``, the 4 mean entries, and ``p``, the 10 distinct covariance entries
+    row by row from the diagonal (``p00, p01, p02, p03, p11, ..., p33``).
+    The constructor refuses (``ValueError``) a covariance not exactly
+    symmetric; ``mean`` (4,) and ``cov`` (4, 4) are fresh read-only arrays.
     """
 
     __slots__ = ("m", "p")
 
     def __init__(self, mean, cov):
-        self.mean = mean
-        self.cov = cov
+        m = np.asarray(mean, dtype=float)
+        if m.shape != (STATE_DIM,):
+            raise ValueError(f"mean must have shape (4,), got {m.shape}")
+        p = np.asarray(cov, dtype=float)
+        if p.shape != (STATE_DIM, STATE_DIM) or not np.array_equal(p, p.T, equal_nan=True):
+            raise ValueError(f"cov must be exactly symmetric with shape (4, 4), got {p.shape}")
+        self.m = tuple(m.tolist())
+        self.p = tuple(p[np.triu_indices(STATE_DIM)].tolist())
 
     @property
     def mean(self) -> np.ndarray:
@@ -74,28 +80,11 @@ class EstimatorState:
         out.flags.writeable = False
         return out
 
-    @mean.setter
-    def mean(self, value) -> None:
-        a = np.asarray(value, dtype=float)
-        if a.shape != (STATE_DIM,):
-            raise ValueError(f"mean must have shape (4,), got {a.shape}")
-        self.m = tuple(a.tolist())
-
     @property
     def cov(self) -> np.ndarray:
         out = np.array(self.p)[_UPPER_INDEX]
         out.flags.writeable = False
         return out
-
-    @cov.setter
-    def cov(self, value) -> None:
-        a = np.asarray(value, dtype=float)
-        if a.shape != (STATE_DIM, STATE_DIM) or not np.array_equal(a, a.T, equal_nan=True):
-            raise ValueError(f"cov must be exactly symmetric with shape (4, 4), got {a.shape}")
-        self.p = tuple(a[np.triu_indices(STATE_DIM)].tolist())
-
-    def copy(self) -> "EstimatorState":
-        return _state(self.m, self.p)
 
 
 def _state(m: tuple, p: tuple) -> EstimatorState:
@@ -196,7 +185,7 @@ def make_filter_config(kind: str, sigma_r: float, sigma_theta: float,
 def init_state(config: FilterConfig, initial_guess) -> EstimatorState:
     """Initial belief: guessed position, zero offsets, diagonal covariance
     carrying the position spread and the offset priors."""
-    x, y = np.asarray(initial_guess, dtype=float).tolist()[:2]
+    x, y = float(initial_guess[0]), float(initial_guess[1])
     p = config.params
     var = p.init_position_std**2
     return _state((x, y, 0.0, 0.0), (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, p.sigma_delta_r**2, 0.0,

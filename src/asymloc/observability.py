@@ -37,26 +37,27 @@ class CurvatureSample:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Accumulated 2x2 curvature matrix with its spectrum and bookkeeping."""
+    """Accumulated 2x2 curvature matrix ``[[a, b], [b, c]]``, held as its
+    entries ``(a, b, c)``, with its spectrum and bookkeeping."""
 
-    matrix: np.ndarray
+    entries: tuple[float, float, float]
     lambda_min: float
     lambda_max: float
     bilateral: bool
     n_saturated: int
     n_active: int
 
+    @property
+    def matrix(self) -> np.ndarray:
+        a, b, c = self.entries
+        return np.array([[a, b], [b, c]])
 
-def _eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
-    """Eigenvalues (min, max) of ``[[a, b], [b, c]]``."""
+
+def eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues (min, max) of the symmetric matrix ``[[a, b], [b, c]]``."""
     half_trace = 0.5 * (a + c)
     radius = math.hypot(0.5 * (a - c), b)
     return half_trace - radius, half_trace + radius
-
-
-def eig2x2_sym(matrix: np.ndarray) -> tuple[float, float]:
-    """Closed-form eigenvalues (min, max) of a symmetric 2x2 matrix."""
-    return _eig_sym(float(matrix[0, 0]), float(matrix[0, 1]), float(matrix[1, 1]))
 
 
 def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float],
@@ -70,10 +71,10 @@ def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float],
 def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,
                  mu_threshold: float) -> CurvatureReport:
     """Report on the curvature matrix ``[[a, b], [b, c]]``."""
-    lmin, lmax = _eig_sym(a, b, c)
+    lmin, lmax = eig_sym(a, b, c)
     lmin = max(lmin, 0.0)  # PSD by construction; clip fp dust
     lmax = max(lmax, 0.0)
-    return CurvatureReport(matrix=np.array([[a, b], [b, c]]), lambda_min=lmin, lambda_max=lmax,
+    return CurvatureReport(entries=(a, b, c), lambda_min=lmin, lambda_max=lmax,
                            bilateral=lmin > mu_threshold,
                            n_saturated=n_saturated, n_active=n_active)
 
@@ -114,8 +115,7 @@ def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
     (non-saturated) and its Jacobian has a component along the previous
     minimum eigenvector -- the geometric payoff of a crossing maneuver.
     """
-    m = before.matrix
-    a, b, c = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+    a, b, c = before.entries
     term = _curvature_term(new_sample)
     if term is not None:
         a += term[0]
@@ -168,5 +168,5 @@ class SlidingCurvatureTracker:
         return _report_from(self._a, self._b, self._c, self._n_sat, n_act, self.mu_threshold)
 
     def lambda_min(self) -> float:
-        lmin, _ = _eig_sym(self._a, self._b, self._c)
+        lmin, _ = eig_sym(self._a, self._b, self._c)
         return max(lmin, 0.0)

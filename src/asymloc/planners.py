@@ -1,8 +1,8 @@
 """Motion strategies: passive sweep, reactive crossing, and information-optimal.
 
 All planners are dynamics-free guidance laws: they map (current pose,
-current target estimate) to the next pose, moving at most ``eta`` meters
-per step and staying inside the square arena.
+current target estimate) to the next pose, an ``(x, y)`` float pair, moving
+at most ``eta`` meters per step and staying inside the square arena.
 
 * ``lawnmower`` -- boustrophedon sweep, ignores the estimate entirely; the
   no-information-seeking control case.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import Modality
 from .knobs import check, knob
-from .observability import _eig_sym
+from .observability import eig_sym
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,24 @@ class PlannerConfig:
         check(self)
 
 
-def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> np.ndarray:
+def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> tuple[float, float]:
     """Step toward the point ``ell`` meters past the estimate.
 
-    Staying put once within ``eps_stop`` of the estimate keeps the agent
-    from orbiting a converged solution. The step length is exactly ``eta``
-    (before arena clamping).
+    Staying put once within ``eps_stop`` of the estimate (or exactly on it,
+    where no direction is defined) keeps the agent from orbiting a converged
+    solution. The step length is exactly ``eta`` (before arena clamping).
     """
     ax, ay = float(agent[0]), float(agent[1])
     ex, ey = float(estimate[0]), float(estimate[1])
     gx, gy = ex - ax, ey - ay
     dist = math.hypot(gx, gy)
-    if dist < cfg.eps_stop:
-        return np.array([ax, ay])
+    if dist < cfg.eps_stop or dist == 0.0:
+        return ax, ay
     vx = ex + cfg.ell * (gx / dist) - ax
     vy = ey + cfg.ell * (gy / dist) - ay
     v_norm = math.hypot(vx, vy)
-    return np.array([min(max(ax + cfg.eta * vx / v_norm, 0.0), cfg.arena),
-                     min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena)])
+    return (min(max(ax + cfg.eta * vx / v_norm, 0.0), cfg.arena),
+            min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena))
 
 
 def _fim_entries(estimate, candidate, sigma_r: Optional[float],
@@ -96,7 +96,7 @@ def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
 
 
 def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
-                  noise: Mapping[Modality, float]) -> np.ndarray:
+                  noise: Mapping[Modality, float]) -> tuple[float, float]:
     """Pick the candidate pose maximizing ``lambda_min`` of the Fisher
     information at the current estimate.
 
@@ -129,15 +129,15 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
         if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
             scores.append(-math.inf)
         else:
-            scores.append(_eig_sym(*_fim_entries(e, c, sigma_r, sigma_theta))[0])
+            scores.append(eig_sym(*_fim_entries(e, c, sigma_r, sigma_theta))[0])
     best = max(scores)
     if not math.isfinite(best):
-        return np.array([ax, ay])
+        return ax, ay
     # candidates within fp noise of the optimum count as exact ties, so the
     # first-index rule (not rounding artifacts) decides flat regions
     tol = 1e-9 * max(1.0, abs(best))
     winner = next(i for i, s in enumerate(scores) if s >= best - tol)
-    return np.array(candidates[winner])
+    return candidates[winner]
 
 
 class LawnmowerPlanner:
@@ -151,25 +151,25 @@ class LawnmowerPlanner:
         self._dx = 1.0
         self._dy = 1.0
 
-    def next_pose(self, agent, estimate=None) -> np.ndarray:
+    def next_pose(self, agent, estimate=None) -> tuple[float, float]:
         ax, ay = float(agent[0]), float(agent[1])
         cfg = self.cfg
         nx = ax + self._dx * cfg.eta
         if 0.0 <= nx <= cfg.arena:
-            return np.array([nx, ay])
+            return nx, ay
         ny = ay + self._dy * cfg.lawnmower_spacing
         if not 0.0 <= ny <= cfg.arena:
             self._dy = -self._dy
             ny = ay + self._dy * cfg.lawnmower_spacing
         self._dx = -self._dx
-        return np.array([min(max(ax, 0.0), cfg.arena), min(max(ny, 0.0), cfg.arena)])
+        return min(max(ax, 0.0), cfg.arena), min(max(ny, 0.0), cfg.arena)
 
 
 class ReactiveCrossingPlanner:
     def __init__(self, cfg: PlannerConfig):
         self.cfg = cfg
 
-    def next_pose(self, agent, estimate) -> np.ndarray:
+    def next_pose(self, agent, estimate) -> tuple[float, float]:
         return reactive_crossing(agent, estimate, self.cfg)
 
 
@@ -178,7 +178,7 @@ class FimPlanner:
         self.cfg = cfg
         self.noise = dict(noise)
 
-    def next_pose(self, agent, estimate) -> np.ndarray:
+    def next_pose(self, agent, estimate) -> tuple[float, float]:
         return fim_e_optimal(agent, estimate, self.cfg, self.noise)
 
 

@@ -254,6 +254,19 @@ class TestGrid:
                     assert (shared.n_clamped, shared.aborted_at) == \
                         (alone.n_clamped, alone.aborted_at)
 
+    def test_planner_arena_must_match_the_scenario(self):
+        # a planner clamping into another arena than the world's would keep
+        # the agent out of the target's part of the world
+        sc = Scenario(arena=200.0, truth=(150.0, 150.0), steps=5)
+        match = r"planner arena 100\.0 != scenario arena 200\.0"
+        with pytest.raises(ValueError, match=match):
+            GridSpec(scenario=sc, planner_cfg=PlannerConfig())
+        fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
+        with pytest.raises(ValueError, match=match):
+            run_single(sc, fc, "reactive", PlannerConfig(), run_seed=0)
+        assert GridSpec(scenario=sc).planner_cfg.arena == 200.0
+        assert GridSpec(scenario=sc, planner_cfg=PlannerConfig(arena=200.0)).n_runs == 50
+
     def test_repeated_cells_rejected(self):
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
         with pytest.raises(ValueError, match="filters: repeated entries"):

@@ -45,9 +45,6 @@ class TestEstimatorState:
     def test_mean_of_wrong_shape_is_refused(self, bad):
         with pytest.raises(ValueError, match="mean must have shape"):
             EstimatorState(bad, np.eye(4))
-        st = EstimatorState(np.zeros(4), np.eye(4))
-        with pytest.raises(ValueError, match="mean must have shape"):
-            st.mean = bad
 
     @pytest.mark.parametrize("bad", [np.eye(3), np.eye(5), np.ones(16), np.ones((4, 4, 1))])
     def test_cov_of_wrong_shape_is_refused(self, bad):
@@ -56,20 +53,15 @@ class TestEstimatorState:
 
     def test_non_symmetric_cov_is_refused(self):
         # the state keeps one triangle, so a differing lower one would be lost
-        st = init_state(one_sided_config(), (50.0, 50.0))
-        before = st.cov
         for i, j in ((1, 0), (3, 2), (0, 3)):
             bad = np.eye(4)
             bad[i, j] = 0.1
-            with pytest.raises(ValueError, match="exactly symmetric"):
-                st.cov = bad
             with pytest.raises(ValueError, match="exactly symmetric"):
                 EstimatorState(np.zeros(4), bad)
         near = np.eye(4)
         near[0, 1], near[1, 0] = 0.1, np.nextafter(0.1, 1.0)
         with pytest.raises(ValueError, match="exactly symmetric"):
-            st.cov = near
-        np.testing.assert_array_equal(st.cov, before)
+            EstimatorState(np.zeros(4), near)
 
     def test_views_are_read_only_and_fresh(self):
         st = init_state(one_sided_config(), (50.0, 50.0))
@@ -82,12 +74,28 @@ class TestEstimatorState:
         assert st.mean[0] == 50.0
         assert st.mean is not st.mean
 
-    def test_copy_is_independent(self):
+    def test_mean_and_cov_cannot_be_assigned(self):
         st = init_state(one_sided_config(), (50.0, 50.0))
-        other = st.copy()
-        other.cov = np.eye(4)
-        other.mean = np.ones(4)
+        with pytest.raises(AttributeError):
+            st.mean = np.ones(4)
+        with pytest.raises(AttributeError):
+            st.cov = np.eye(4)
         assert st.cov[0, 0] == 1600.0 and st.mean[0] == 50.0
+
+    @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
+    def test_predict_and_update_leave_their_input_unchanged(self, modality):
+        cfg = one_sided_config()
+        st = init_state(cfg, (50.0, 50.0))
+        m, p = st.m, st.p
+        grown = predict(st, 1e-3)
+        agent = (10.0, 10.0)
+        value = h_rtt((50.0, 50.0), agent) + 3.0 if modality is Modality.RTT else 0.3
+        post, diag = update(grown, Measurement(modality, value, agent), cfg)
+        assert not diag.skipped
+        assert (st.m, st.p) == (m, p)
+        assert grown.p != p and grown.m == m
+        assert post.m != grown.m and post.p != grown.p
+        assert predict(grown, 0.0).p == grown.p
 
 
 class TestPredict:
@@ -128,8 +136,8 @@ class TestUpdate:
         tau = cfg.rtt_loss.tau
         z_small = Measurement(Modality.RTT, 30.0 + 0.5 * tau, agent)
         z_big = Measurement(Modality.RTT, 30.0 + 10.0 * tau, agent)
-        st_small, d_small = update(base.copy(), z_small, cfg)
-        st_big, d_big = update(base.copy(), z_big, cfg)
+        st_small, d_small = update(base, z_small, cfg)
+        st_big, d_big = update(base, z_big, cfg)
         assert d_small.weight == 1.0
         assert d_big.weight == pytest.approx(0.1, rel=1e-6)
         gain_small = np.linalg.norm(st_small.mean - base.mean) / (0.5 * tau)
@@ -156,8 +164,8 @@ class TestUpdate:
 
     def test_rtt_diagnostics_carry_implied_bias(self):
         cfg = one_sided_config()
-        st = init_state(cfg, (50.0, 50.0))
-        st.cov = np.diag([1.0, 1.0, 0.5, 0.01])  # converged-filter regime
+        st = EstimatorState(init_state(cfg, (50.0, 50.0)).mean,
+                            np.diag([1.0, 1.0, 0.5, 0.01]))  # converged-filter regime
         agent = (10.0, 10.0)
         z = Measurement(Modality.RTT, h_rtt((50.0, 50.0), agent) + 30.0, agent)
         st2, diag = update(st, z, cfg)
@@ -346,8 +354,8 @@ class TestAsymmetry:
 
     def test_positive_outlier_moves_less_than_quadratic(self):
         z = Measurement(Modality.RTT, 40.0 + 25.0, self.agent)
-        st_one, _ = update(self.prior.copy(), z, self.one)
-        st_quad, _ = update(self.prior.copy(), z, self.quad)
+        st_one, _ = update(self.prior, z, self.one)
+        st_quad, _ = update(self.prior, z, self.quad)
         move_one = np.linalg.norm(st_one.mean - self.prior.mean)
         move_quad = np.linalg.norm(st_quad.mean - self.prior.mean)
         assert move_one < move_quad
@@ -358,8 +366,8 @@ class TestAsymmetry:
         cfg_quad = FilterConfig(rtt_loss=LossSpec.quadratic(1.0),
                                 aoa_loss=LossSpec.quadratic(0.035),
                                 params=FilterParams(irls_iterations=1))
-        st_one, d1 = update(self.prior.copy(), z, cfg_one)
-        st_quad, d2 = update(self.prior.copy(), z, cfg_quad)
+        st_one, d1 = update(self.prior, z, cfg_one)
+        st_quad, d2 = update(self.prior, z, cfg_quad)
         assert d1.weight == 1.0
         np.testing.assert_allclose(st_one.mean, st_quad.mean, atol=1e-9)
         np.testing.assert_allclose(st_one.cov, st_quad.cov, atol=1e-9)
@@ -435,7 +443,7 @@ class TestRobustEkfWrapper:
         cfg = one_sided_config(em_enabled=True, em_window=5,
                                rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0))
         filt = RobustEkf(cfg, (50.0, 50.0))
-        filt.state.cov = np.diag([1e-6, 1e-6, 1e-6, 1e-6])  # pin the state
+        filt.state = EstimatorState(filt.state.mean, 1e-6 * np.eye(4))  # pin the state
         agent = (10.0, 10.0)
         d = h_rtt((50.0, 50.0), agent)
         biases = []
@@ -448,7 +456,7 @@ class TestRobustEkfWrapper:
         cfg = one_sided_config(em_enabled=True, em_window=3,
                                rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0))
         filt = RobustEkf(cfg, (50.0, 50.0))
-        filt.state.cov = np.diag([1e-6, 1e-6, 1e-6, 1e-6])
+        filt.state = EstimatorState(filt.state.mean, 1e-6 * np.eye(4))
         agent = (10.0, 10.0)
         d = h_rtt((50.0, 50.0), agent)
         for _ in range(3):

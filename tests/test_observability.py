@@ -6,7 +6,7 @@ import pytest
 from asymloc.geometry import h_rtt, linearize
 from asymloc.losses import LossSpec, loss
 from asymloc.observability import (CurvatureSample, SlidingCurvatureTracker, accumulate,
-                                   classify_residual, crossing_improves, eig2x2_sym)
+                                   classify_residual, crossing_improves, eig_sym)
 
 RTT = LossSpec.one_sided(sigma=1.0, lam=1.0)
 SYM = LossSpec.symmetric(sigma=1.0, k=1.0)
@@ -41,6 +41,15 @@ class TestAccumulate:
         rep = accumulate([CurvatureSample(j, 2.0, False)])
         assert rep.lambda_min == pytest.approx(0.0, abs=1e-12)
         assert rep.lambda_max == pytest.approx(2.0 * (j @ j), rel=1e-12)
+
+    def test_matrix_is_built_from_entries(self):
+        rep = accumulate([sample(1.0, 2.0, 0.5), sample(-3.0, 0.25, 2.0), sample(1.0, 1.0, 0.0)])
+        a, b, c = rep.entries
+        assert (a, b, c) == (0.5 + 18.0, 1.0 - 1.5, 2.0 + 0.125)
+        np.testing.assert_array_equal(rep.matrix, [[a, b], [b, c]])
+        after, _ = crossing_improves(rep, sample(0.0, 1.0, 1.0))
+        assert after.entries == (a, b, c + 1.0)
+        np.testing.assert_array_equal(after.matrix, [[a, b], [b, c + 1.0]])
 
     def test_matches_numpy_eigvalsh(self):
         rng = np.random.default_rng(2)
@@ -176,8 +185,7 @@ class TestSlidingTracker:
             assert rep.n_active == batch.n_active
 
     def test_eig_closed_form(self):
-        m = np.array([[3.0, 1.0], [1.0, 2.0]])
-        lo, hi = eig2x2_sym(m)
-        ev = np.linalg.eigvalsh(m)
+        lo, hi = eig_sym(3.0, 1.0, 2.0)
+        ev = np.linalg.eigvalsh(np.array([[3.0, 1.0], [1.0, 2.0]]))
         assert lo == pytest.approx(ev[0], rel=1e-12)
         assert hi == pytest.approx(ev[1], rel=1e-12)

@@ -8,8 +8,8 @@ import pytest
 from asymloc import planners
 from asymloc.experiment import GridSpec, run_grid
 from asymloc.geometry import Modality
-from asymloc.observability import eig2x2_sym
-from asymloc.planners import (FimPlanner, LawnmowerPlanner, PlannerConfig,
+from asymloc.observability import eig_sym
+from asymloc.planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfig,
                               ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                               reactive_crossing)
 from asymloc.sim_env import PRESETS, get_preset
@@ -27,6 +27,14 @@ class TestReactiveCrossing:
         cfg = PlannerConfig(eps_stop=0.1)
         nxt = reactive_crossing((10.0, 10.0), (10.0, 10.01), cfg)
         np.testing.assert_array_equal(nxt, [10.0, 10.0])
+
+    def test_stays_on_the_estimate_with_zero_stop_radius(self):
+        # eps_stop = 0 is allowed: exactly on the estimate no direction is
+        # defined, so the agent stays put instead of dividing by zero
+        cfg = PlannerConfig(eps_stop=0.0)
+        assert reactive_crossing((1.0, 1.0), (1.0, 1.0), cfg) == (1.0, 1.0)
+        nxt = reactive_crossing((1.0, 1.0), (1.0, 1.0 + 1e-9), cfg)
+        assert math.hypot(nxt[0] - 1.0, nxt[1] - 1.0) == pytest.approx(cfg.eta, rel=1e-12)
 
     def test_step_length_is_eta(self):
         rng = np.random.default_rng(3)
@@ -91,7 +99,7 @@ class TestFim:
         # the basis of fim_e_optimal's standoff rule. From 1 m out, the
         # closed-form eigenvalue keeps 1e-12 relative accuracy (nearer, the
         # bearing term outgrows the range term and the subtraction in
-        # eig2x2_sym loses digits in proportion)
+        # eig_sym loses digits in proportion)
         rng = np.random.default_rng(8)
         s_r, s_t = NOISE[Modality.RTT], NOISE[Modality.AOA]
         checked = 0
@@ -100,7 +108,7 @@ class TestFim:
             d2 = float((e[0] - c[0]) ** 2 + (e[1] - c[1]) ** 2)
             if d2 < 1.0:
                 continue
-            lmin, _ = eig2x2_sym(fim(e, c, NOISE))
+            lmin, _ = eig_sym(*fim(e, c, NOISE)[[0, 0, 1], [0, 1, 1]])
             want = min(1.0 / s_r**2, 1.0 / (d2 * s_t**2))
             assert abs(lmin - want) <= 1e-12 * want
             checked += 1
@@ -112,7 +120,7 @@ class TestFim:
         noise = {modality: NOISE[modality]}
         for _ in range(2000):
             e, c = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
-            lmin, lmax = eig2x2_sym(fim(e, c, noise))
+            lmin, lmax = eig_sym(*fim(e, c, noise)[[0, 0, 1], [0, 1, 1]])
             assert abs(lmin) <= 1e-12 * lmax
 
     def test_coincident_rejected(self):
@@ -258,10 +266,27 @@ class TestLawnmower:
     def test_poses_stay_in_arena(self):
         cfg = PlannerConfig(eta=5.0, lawnmower_spacing=10.0, arena=100.0)
         planner = LawnmowerPlanner(cfg)
-        pose = np.array([10.0, 10.0])
+        pose = (10.0, 10.0)
         for _ in range(600):
             pose = planner.next_pose(pose)
-            assert ((0.0 <= pose) & (pose <= 100.0)).all()
+            assert 0.0 <= pose[0] <= 100.0 and 0.0 <= pose[1] <= 100.0
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_every_planner_returns_a_float_pair(as_array):
+    # agent/estimate pairs cover a move, the stop radius, the arena edge and
+    # an agent on the estimate; next_pose returns reactive_crossing's and
+    # fim_e_optimal's result as is
+    cases = [((40.0, 40.0), (60.0, 55.0)), ((10.0, 10.0), (10.0, 10.01)),
+             ((100.0, 0.0), (150.0, -20.0)), ((50.0, 50.0), (50.0, 50.0))]
+    for kind in PLANNER_KINDS:
+        planner = make_planner(kind, PlannerConfig(), NOISE)
+        for agent, est in cases:
+            if as_array:
+                agent, est = np.array(agent), np.array(est)
+            pose = planner.next_pose(agent, est)
+            assert type(pose) is tuple and len(pose) == 2, (kind, pose)
+            assert all(type(v) is float for v in pose), (kind, pose)
 
 
 class TestRegistryAndCost:
