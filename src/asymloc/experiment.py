@@ -15,10 +15,12 @@ call only -- filter and environment work is excluded by construction.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -174,9 +176,13 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                 n_clamped += int(clamped)
                 d_rtt = filt.update(m_rtt)
                 d_aoa = filt.update(m_aoa)
-                for diag, spec in ((d_rtt, filt.config.rtt_loss), (d_aoa, filt.config.aoa_loss)):
-                    if not diag.skipped:
-                        tracker.add(classify_residual(diag.residual, spec, diag.jacobian_pos, t))
+                # read after the update: an EM refresh replaces the range loss
+                if not d_rtt.skipped:
+                    tracker.add(classify_residual(d_rtt.residual, filt.config.rtt_loss,
+                                                  d_rtt.jacobian_pos, t))
+                if not d_aoa.skipped:
+                    tracker.add(classify_residual(d_aoa.residual, filter_cfg.aoa_loss,
+                                                  d_aoa.jacobian_pos, t))
             ex, ey, br, bt = filt.state.m
             est_x.append(ex)
             est_y.append(ey)
@@ -265,13 +271,39 @@ def _run_index(args) -> list[RunResult]:
     return [run_single(scenario, fcfg, p, planner_cfg, run_seed, world) for fcfg, p in cells]
 
 
+# the pool an enclosing _process_pool block opened, which every run_grid call
+# inside the block shares; unset outside one, so no worker outlives its block
+_open_pool: ContextVar = ContextVar("asymloc_open_pool", default=None)
+
+
+@contextlib.contextmanager
+def _process_pool(n_jobs: int):
+    """The enclosing block's process pool, else a new one of ``n_jobs``
+    workers, shut down (its workers joined) when this block ends or raises."""
+    pool = _open_pool.get()
+    if pool is not None:
+        yield pool
+        return
+    # imported here: multiprocessing adds about 2 MB to every
+    # single-process run that never uses it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        token = _open_pool.set(pool)
+        try:
+            yield pool
+        finally:
+            _open_pool.reset(token)
+
+
 def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     """Run every filter x planner cell of the grid.
 
     One job runs index ``i`` (seed ``scenario.seed + i``) in every cell
     over one shared :class:`World`; with ``n_jobs > 1`` the jobs are fanned
-    out to a process pool. Cells are reassembled in run-index order either
-    way, so every run equals the run made alone, at any worker count.
+    out to a process pool: the one :func:`sweep` keeps open across its
+    values, or else one opened and shut down within this call. Cells are
+    reassembled in run-index order either way, so every run equals the run
+    made alone, at any worker count.
     """
     cells = [(f, p) for f in grid.filters for p in grid.planners]
     sc = grid.scenario
@@ -280,10 +312,7 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     jobs = [(sc, configs, grid.planner_cfg, sc.seed + i) for i in range(grid.n_runs)]
 
     if grid.n_jobs > 1:
-        # imported here: multiprocessing adds about 2 MB to every
-        # single-process run that never uses it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=grid.n_jobs) as pool:
+        with _process_pool(grid.n_jobs) as pool:
             results = list(pool.map(_run_index, jobs, chunksize=max(1, len(jobs) // (8 * grid.n_jobs))))
     else:
         results = [_run_index(j) for j in jobs]
@@ -307,20 +336,30 @@ class SweepRow:
 
 
 def _apply_sweep_value(grid: GridSpec, parameter: str, value: float) -> GridSpec:
-    for name in ("scenario", "planner_cfg", "filter_params"):
-        part = getattr(grid, name)
-        if parameter in {f.name for f in config_fields(part)}:
-            return dataclasses.replace(grid, **{name: dataclasses.replace(part, **{parameter: value})})
-    raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
+    name = next(name for name in ("scenario", "planner_cfg", "filter_params")
+                if parameter in {f.name for f in config_fields(getattr(grid, name))})
+    part = getattr(grid, name)
+    return dataclasses.replace(grid, **{name: dataclasses.replace(part, **{parameter: value})})
 
 
 def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[SweepRow]:
     """Re-run the grid once per parameter value (same seed base across
-    values, so rows are paired on the underlying noise draws)."""
+    values, so rows are paired on the underlying noise draws).
+
+    ``parameter`` must be one of ``SWEEP_PARAMETERS`` and every value must
+    pass the knob's bounds (``ValueError`` before any run starts). With
+    ``base.n_jobs > 1`` one process pool serves every value's
+    :func:`run_grid` call and is shut down before this returns or raises.
+    """
+    if parameter not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
+    values = [float(v) for v in values]
+    grids = [_apply_sweep_value(base, parameter, v) for v in values]
     rows: list[SweepRow] = []
-    for v in values:
-        for cell in run_grid(_apply_sweep_value(base, parameter, float(v))).values():
-            rows.append(SweepRow(parameter, float(v), cell.combination, cell.metrics))
+    with _process_pool(base.n_jobs) if base.n_jobs > 1 else contextlib.nullcontext():
+        for v, grid in zip(values, grids):
+            for cell in run_grid(grid).values():
+                rows.append(SweepRow(parameter, v, cell.combination, cell.metrics))
     return rows
 
 

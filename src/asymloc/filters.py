@@ -22,7 +22,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +45,7 @@ MIN_AOA_RANGE = 1.0
 _UPPER_INDEX = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One timestamped observation from a known agent position ``(x, y)``."""
 
     modality: Modality
@@ -54,25 +54,29 @@ class Measurement:
     step: int = 0
 
 
-class EstimatorState:
-    """Gaussian belief over the augmented state, a value held as float tuples:
-    ``m``, the 4 mean entries, and ``p``, the 10 distinct covariance entries
-    row by row from the diagonal (``p00, p01, p02, p03, p11, ..., p33``).
-    The constructor refuses (``ValueError``) a covariance not exactly
+class EstimatorState(tuple):
+    """Gaussian belief over the augmented state, an immutable pair of float
+    tuples: ``m``, the 4 mean entries, and ``p``, the 10 distinct covariance
+    entries row by row from the diagonal (``p00, p01, p02, p03, p11, ...,
+    p33``). The constructor refuses (``ValueError``) a covariance not exactly
     symmetric; ``mean`` (4,) and ``cov`` (4, 4) are fresh read-only arrays.
     """
 
-    __slots__ = ("m", "p")
+    __slots__ = ()
+    m = property(itemgetter(0))
+    p = property(itemgetter(1))
 
-    def __init__(self, mean, cov):
+    def __new__(cls, mean, cov):
         m = np.asarray(mean, dtype=float)
         if m.shape != (STATE_DIM,):
             raise ValueError(f"mean must have shape (4,), got {m.shape}")
         p = np.asarray(cov, dtype=float)
         if p.shape != (STATE_DIM, STATE_DIM) or not np.array_equal(p, p.T, equal_nan=True):
             raise ValueError(f"cov must be exactly symmetric with shape (4, 4), got {p.shape}")
-        self.m = tuple(m.tolist())
-        self.p = tuple(p[np.triu_indices(STATE_DIM)].tolist())
+        return _state(tuple(m.tolist()), tuple(p[np.triu_indices(STATE_DIM)].tolist()))
+
+    def __reduce__(self):
+        return _state, tuple(self)
 
     @property
     def mean(self) -> np.ndarray:
@@ -89,9 +93,7 @@ class EstimatorState:
 
 def _state(m: tuple, p: tuple) -> EstimatorState:
     """An :class:`EstimatorState` from its float tuples, without parsing."""
-    state = object.__new__(EstimatorState)
-    state.m, state.p = m, p
-    return state
+    return tuple.__new__(EstimatorState, (m, p))
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ class FilterConfig:
     params: FilterParams = field(default_factory=FilterParams)
 
 
-@dataclass
-class UpdateDiagnostics:
+class UpdateDiagnostics(NamedTuple):
     """What a single measurement update did.
 
     ``residual``, ``weight`` and the position Jacobian ``jacobian_pos`` (a
@@ -307,6 +308,7 @@ class RobustEkf:
     def __init__(self, config: FilterConfig, initial_guess):
         self.config = config
         self.state = init_state(config, initial_guess)
+        self._em_enabled = config.params.em_enabled
         self._bias_window: list[float] = []
 
     def predict(self) -> None:
@@ -314,7 +316,7 @@ class RobustEkf:
 
     def update(self, z: Measurement) -> UpdateDiagnostics:
         self.state, diag = update(self.state, z, self.config)
-        if (self.config.params.em_enabled and z.modality is Modality.RTT
+        if (self._em_enabled and z.modality is Modality.RTT
                 and diag.implied_bias is not None and not diag.skipped):
             self._bias_window.append(diag.implied_bias)
             if len(self._bias_window) >= self.config.params.em_window:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import math
 
@@ -23,8 +23,7 @@ import numpy as np
 from .losses import LossSpec, loss_curvature
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """One measurement's curvature contribution: position Jacobian (any
     2-sequence: a float pair or an array), second derivative weight, and
     whether the residual was saturated."""

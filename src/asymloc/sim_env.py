@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,8 +54,8 @@ def segment_intersects_rect(a, b, rect: Rect) -> bool:
     Standard slab clipping: intersect the segment's parameter interval
     [0, 1] with the slabs of both axes.
     """
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
     t0, t1 = 0.0, 1.0
     for p0, dp, lo, hi in (
         (ax, bx - ax, rect.cx - rect.half_width, rect.cx + rect.half_width),
@@ -122,11 +122,11 @@ class Scenario:
         return math.radians(self.sigma_b_theta_deg)
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One step's channel realization. ``b_r`` is never negative: a blocked
-    path can only lengthen the measured range. ``is_nlos_aoa`` equals
-    ``is_nlos`` under the shared-coin default."""
+class ChannelDraw(NamedTuple):
+    """One step's channel realization. ``b_r`` is never negative
+    (:func:`sample_channel` checks it): a blocked path can only lengthen the
+    measured range. ``is_nlos_aoa`` equals ``is_nlos`` under the shared-coin
+    default."""
 
     is_nlos: bool
     b_r: float
@@ -134,10 +134,6 @@ class ChannelDraw:
     eps_r: float
     eps_theta: float
     is_nlos_aoa: bool
-
-    def __post_init__(self):
-        if self.b_r < 0.0:
-            raise ValueError("range NLOS bias must be non-negative")
 
 
 def channel_draws(rng: np.random.Generator) -> tuple:
@@ -160,30 +156,27 @@ def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
         p = scenario.p_nlos
     is_nlos = u_shared < p
     is_nlos_aoa = is_nlos if scenario.shared_nlos_flag else (u_aoa < p)
-
-    return ChannelDraw(
-        is_nlos=is_nlos,
-        b_r=scenario.mu_nlos * e_bias if is_nlos else 0.0,
-        b_theta=scenario.sigma_b_theta_rad * z_btheta if is_nlos_aoa else 0.0,
-        eps_r=scenario.sigma_r * z_r,
-        eps_theta=scenario.sigma_theta_rad * z_theta,
-        is_nlos_aoa=is_nlos_aoa,
-    )
+    b_r = scenario.mu_nlos * e_bias if is_nlos else 0.0
+    if b_r < 0.0:
+        raise ValueError("range NLOS bias must be non-negative")
+    return ChannelDraw(is_nlos, b_r,
+                       scenario.sigma_b_theta_rad * z_btheta if is_nlos_aoa else 0.0,
+                       scenario.sigma_r * z_r, scenario.sigma_theta_rad * z_theta, is_nlos_aoa)
 
 
 def observe_with_draw(scenario: Scenario, agent, draws: tuple,
                       step: int = 0) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
     """Generate the step's (range, bearing) measurement pair, taken from the
-    agent position ``(x, y)``, from the step's :func:`channel_draws`.
+    agent position ``(x, y)`` (which the measurements keep as given), from
+    the step's :func:`channel_draws`.
 
     Returns the pair plus the channel draw and whether the range had to be
     clamped at zero (noise can't make a physical range negative). Raises
     ``CoincidentPointsError`` on the target itself.
     """
-    pose = (float(agent[0]), float(agent[1]))
-    draw = sample_channel(scenario, pose, draws)
-    true_range = h_rtt(scenario.truth, pose)
-    true_bearing = h_aoa(scenario.truth, pose)
+    draw = sample_channel(scenario, agent, draws)
+    true_range = h_rtt(scenario.truth, agent)
+    true_bearing = h_aoa(scenario.truth, agent)
 
     y_rtt = true_range + scenario.delta_r + draw.b_r + draw.eps_r
     clamped = y_rtt < 0.0
@@ -191,9 +184,8 @@ def observe_with_draw(scenario: Scenario, agent, draws: tuple,
         y_rtt = 0.0
     y_aoa = wrap_angle(true_bearing + scenario.delta_theta_rad + draw.b_theta + draw.eps_theta)
 
-    m_rtt = Measurement(Modality.RTT, y_rtt, pose, step)
-    m_aoa = Measurement(Modality.AOA, y_aoa, pose, step)
-    return m_rtt, m_aoa, draw, clamped
+    return (Measurement(Modality.RTT, y_rtt, agent, step),
+            Measurement(Modality.AOA, y_aoa, agent, step), draw, clamped)
 
 
 def _canonical(sigma_r: float) -> Scenario:

@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
+import inspect
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,11 +12,25 @@ from asymloc.config import parse_config
 from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregate,
                                 format_table, run_grid, run_single, summary_rows, sweep,
                                 write_cell_csv, write_summary_csv, write_sweep_csv)
-from asymloc.filters import FilterParams, make_filter_config
+from asymloc.filters import FilterParams, init_state, make_filter_config, update
 from asymloc.knobs import config_fields, key
 from asymloc.losses import LossFamily
+from asymloc.observability import classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
 from asymloc.sim_env import Scenario, get_preset, observe_with_draw
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``ProcessPoolExecutor`` built while the test runs."""
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return built
 
 
 def quiet_scenario(**kw):
@@ -147,7 +164,7 @@ class TestRunSingle:
         def nan_at_k(scenario, agent, rng, step):
             m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
             if step == k:
-                m_rtt = dataclasses.replace(m_rtt, value=math.nan)
+                m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
@@ -168,7 +185,7 @@ class TestRunSingle:
         def nan_at_k(scenario, agent, rng, step):
             m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
             if step == k:
-                m_rtt = dataclasses.replace(m_rtt, value=math.nan)
+                m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
@@ -231,6 +248,21 @@ class TestWorld:
             want = observe_with_draw(sc, pose, world.draws[0], 0)
             assert (m_rtt, m_aoa, draw) == want[:3]
         assert len(world.draws) == 1
+
+    def test_step_records_are_immutable(self):
+        # the memo hands one step's records to every cell of a run index, so
+        # no cell may change them under the next
+        sc = get_preset("canonical_medium")
+        world = World(sc, 2)
+        m_rtt, _, draw, _ = world.observe(sc.start, 0)
+        cfg = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
+        _, diag = update(init_state(cfg, (50.0, 50.0)), m_rtt, cfg)
+        sample = classify_residual(diag.residual, cfg.rtt_loss, diag.jacobian_pos)
+        for record in (m_rtt, draw, diag, sample):
+            for name in inspect.signature(type(record)).parameters:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+        assert world.observe(sc.start, 0)[0] is m_rtt
 
 
 class TestGrid:
@@ -354,9 +386,54 @@ class TestSweep:
             rows = sweep(param, [1.0, 2.0], self.BASE)
             assert len(rows) == 4
 
-    def test_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            sweep("bogus", [1.0], self.BASE)
+    def test_unknown_parameter(self, monkeypatch, pools):
+        # refused before any run or pool starts: a knob outside
+        # SWEEP_PARAMETERS would run with a float in an int knob or die
+        # mid-run, and an out-of-bounds value would stop the sweep partway
+        grids = []
+        monkeypatch.setattr(experiment, "run_grid", grids.append)
+        base = dataclasses.replace(self.BASE, n_jobs=2)
+        for name in ("bogus", "candidate_count", "seed", "steps", "irls_iterations"):
+            with pytest.raises(ValueError, match="unknown sweep parameter"):
+                sweep(name, [4.0], base)
+        with pytest.raises(ValueError, match="p_nlos"):
+            sweep("p_nlos", [0.5, 1.5], base)
+        assert grids == [] and pools == []
+
+    def test_one_pool_serves_every_value(self, pools):
+        values = [0.2, 0.5, 0.8]
+        pooled = sweep("p_nlos", values, dataclasses.replace(self.BASE, n_jobs=2))
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        serial = sweep("p_nlos", values, self.BASE)
+        assert len(pools) == 1
+        assert len(pooled) == len(serial) == 6
+        for a, b in zip(pooled, serial):
+            assert (a.parameter, a.value, a.combination) == (b.parameter, b.value, b.combination)
+            for name in ("rmse_series", "bias_r_series", "bias_theta_series",
+                         "ercm_lambda_min_series"):
+                assert getattr(a.metrics, name).tobytes() == getattr(b.metrics, name).tobytes()
+            assert (a.metrics.steps_to_threshold, a.metrics.n_runs) == \
+                (b.metrics.steps_to_threshold, b.metrics.n_runs)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched run_single")
+    def test_no_worker_outlives_a_failed_sweep(self, monkeypatch, pools):
+        run = experiment.run_single
+
+        def failing(scenario, *args):
+            if scenario.p_nlos == 0.5:
+                raise RuntimeError("run fault")
+            return run(scenario, *args)
+        monkeypatch.setattr(experiment, "run_single", failing)
+        base = dataclasses.replace(self.BASE, n_jobs=2)
+        with pytest.raises(RuntimeError, match="run fault"):
+            sweep("p_nlos", [0.2, 0.5, 0.8], base)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        # the failed sweep's pool is not handed to a later grid
+        assert len(run_grid(base)) == 2 and len(pools) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestCsvOutput:

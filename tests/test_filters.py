@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,12 +77,21 @@ class TestEstimatorState:
         assert st.mean is not st.mean
 
     def test_mean_and_cov_cannot_be_assigned(self):
+        # nor their float tuples: an assigned m of two entries would make
+        # mean read shape (2,)
         st = init_state(one_sided_config(), (50.0, 50.0))
-        with pytest.raises(AttributeError):
-            st.mean = np.ones(4)
-        with pytest.raises(AttributeError):
-            st.cov = np.eye(4)
+        for name, value in (("mean", np.ones(4)), ("cov", np.eye(4)), ("m", (1.0, 2.0)),
+                            ("p", (1.0,) * 10)):
+            with pytest.raises(AttributeError):
+                setattr(st, name, value)
         assert st.cov[0, 0] == 1600.0 and st.mean[0] == 50.0
+        assert st.mean.shape == (4,)
+
+    def test_copies_keep_the_floats(self):
+        st = predict(init_state(one_sided_config(), (50.0, 20.0)), 1e-3)
+        for copied in (pickle.loads(pickle.dumps(st)), copy.deepcopy(st)):
+            assert type(copied) is EstimatorState
+            assert (copied.m, copied.p) == (st.m, st.p)
 
     @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
     def test_predict_and_update_leave_their_input_unchanged(self, modality):

@@ -285,7 +285,7 @@ def assert_update_parity(state, z, cfg):
     assert got.mean.tolist() == exact.mean.tolist()
     assert got.cov.tolist() == exact.cov.tolist()
     jac = None if ed.jacobian_pos is None else tuple(ed.jacobian_pos.tolist())
-    assert gd == dataclasses.replace(ed, jacobian_pos=jac)
+    assert gd == ed._replace(jacobian_pos=jac)
     return gd
 
 
@@ -359,7 +359,7 @@ def update_outcome(fn, state, z, cfg):
     jac = diag.jacobian_pos
     if isinstance(jac, np.ndarray):
         jac = tuple(jac.tolist())
-    return post.mean.tolist(), post.cov.tolist(), dataclasses.replace(diag, jacobian_pos=jac)
+    return post.mean.tolist(), post.cov.tolist(), diag._replace(jacobian_pos=jac)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

@@ -121,6 +121,9 @@ class TestSampleChannel:
         rng = np.random.default_rng(3)
         assert all(sample_channel(sc, sc.start, channel_draws(rng)).b_r >= 0.0
                    for _ in range(1_000_000))
+        # a negative exponential draw is refused, not turned into a shorter range
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_channel(sc, sc.start, (0.0, 0.0, -1.0, 0.0, 0.0, 0.0))
 
     def test_obstacle_forces_nlos(self):
         rect = Rect(50.0, 50.0, 10.0, 10.0)
