@@ -166,33 +166,36 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     aborted_at: Optional[int] = None
     abort_reason = ""
 
+    # per-step calls looked up once per run, after any class-level wrapping
+    predict, update = filt.predict, filt.update
+    track, tracker_lambda_min, aoa_loss = tracker.add, tracker.lambda_min, filter_cfg.aoa_loss
+    next_pose, observe, clock = planner.next_pose, world.observe, time.perf_counter
     for t in range(steps):
         try:
-            filt.predict()
+            predict()
             if t > 0:
-                obs = world.observe(agent, t)
+                obs = observe(agent, t)
             if obs is not None:
                 m_rtt, m_aoa, _, clamped = obs
                 n_clamped += int(clamped)
-                d_rtt = filt.update(m_rtt)
-                d_aoa = filt.update(m_aoa)
+                d_rtt = update(m_rtt)
+                d_aoa = update(m_aoa)
                 # read after the update: an EM refresh replaces the range loss
                 if not d_rtt.skipped:
-                    tracker.add(classify_residual(d_rtt.residual, filt.config.rtt_loss,
-                                                  d_rtt.jacobian_pos, t))
+                    track(classify_residual(d_rtt.residual, filt.config.rtt_loss,
+                                            d_rtt.jacobian_pos, t))
                 if not d_aoa.skipped:
-                    tracker.add(classify_residual(d_aoa.residual, filter_cfg.aoa_loss,
-                                                  d_aoa.jacobian_pos, t))
+                    track(classify_residual(d_aoa.residual, aoa_loss, d_aoa.jacobian_pos, t))
             ex, ey, br, bt = filt.state.m
             est_x.append(ex)
             est_y.append(ey)
             bias_r.append(br)
             bias_theta.append(bt)
-            lambda_min.append(tracker.lambda_min())
+            lambda_min.append(tracker_lambda_min())
             trajectory.append(agent)
-            tic = time.perf_counter()
-            agent = planner.next_pose(agent, (ex, ey))
-            planner_cost.append(time.perf_counter() - tic)
+            tic = clock()
+            agent = next_pose(agent, (ex, ey))
+            planner_cost.append(clock() - tic)
         except FilterDivergenceError as exc:
             aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"

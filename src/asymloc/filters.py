@@ -233,7 +233,7 @@ def update(state: EstimatorState, z: Measurement,
     singular there. A posterior with a non-finite entry or a non-positive
     variance raises :class:`FilterDivergenceError`.
     """
-    modality, agent = z.modality, z.agent
+    modality, value, agent = z.modality, z.value, z.agent
     is_aoa = modality is Modality.AOA
     spec = config.aoa_loss if is_aoa else config.rtt_loss
     sigma2 = spec.sigma**2
@@ -253,7 +253,7 @@ def update(state: EstimatorState, z: Measurement,
         if is_aoa and dist < MIN_AOA_RANGE:
             return state, UpdateDiagnostics(modality, skipped=True)
         ed = e3 if is_aoa else e2
-        r = z.value - pred - ed
+        r = value - pred - ed
         if is_aoa:
             r = wrap_angle(r)
         w = irls_weight(r, spec)
@@ -287,13 +287,12 @@ def update(state: EstimatorState, z: Measurement,
     new_state = _state((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
-    # ones that produced the applied gain
+    # ones that produced the applied gain; built positionally, in field order
     implied = None
     if not is_aoa and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)
-    return new_state, UpdateDiagnostics(modality, residual=r, weight=w,
-                                        saturated=w < 1.0, implied_bias=implied,
-                                        jacobian_pos=(j0, j1))
+    return new_state, tuple.__new__(UpdateDiagnostics,
+                                    (modality, r, w, w < 1.0, implied, (j0, j1), False))
 
 
 class RobustEkf:
@@ -316,8 +315,8 @@ class RobustEkf:
 
     def update(self, z: Measurement) -> UpdateDiagnostics:
         self.state, diag = update(self.state, z, self.config)
-        if (self._em_enabled and z.modality is Modality.RTT
-                and diag.implied_bias is not None and not diag.skipped):
+        # only an applied one-sided range update solves an implied bias
+        if self._em_enabled and diag.implied_bias is not None:
             self._bias_window.append(diag.implied_bias)
             if len(self._bias_window) >= self.config.params.em_window:
                 self._refresh_rtt_rate()

@@ -14,15 +14,17 @@ Three families share one interface:
 Losses are normalized: the 1/sigma^2 factor lives inside the loss, so the
 one-sided threshold is ``tau = lam * sigma^2`` while the symmetric one is
 ``tau = k * sigma``. The two parameterizations meet at ``k = lam * sigma``.
-The families differ only in which residuals saturate
-(:meth:`LossSpec.saturates`): at equal ``tau`` the symmetric loss is the
+The families differ only in which residuals saturate: those outside the
+interval ``[lo, hi]`` each spec sets once, ``(-inf, tau]`` one-sided,
+``[-tau, tau]`` symmetric, ``(-inf, inf)`` quadratic; a NaN never does
+(:meth:`LossSpec.saturates`). At equal ``tau`` the symmetric loss is the
 one-sided loss with the bias's non-negativity constraint relaxed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -66,7 +68,8 @@ class LossSpec:
     ``sigma`` is the nominal noise scale of the residual (meters or
     radians). One-sided specs carry the bias rate ``lam`` (1/meters) and
     the equivalent ``k = lam * sigma``; symmetric specs carry ``k`` only.
-    ``tau`` is the derived saturation threshold (``None`` for quadratic).
+    ``tau`` is the derived saturation threshold (``None`` for quadratic) and
+    ``[lo, hi]`` the interval of residuals that do not saturate.
 
     Prefer the ``one_sided`` / ``symmetric`` / ``quadratic`` constructors.
     """
@@ -76,6 +79,8 @@ class LossSpec:
     lam: Optional[float] = None
     k: Optional[float] = None
     tau: Optional[float] = None
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma <= 0.0:
@@ -105,13 +110,13 @@ class LossSpec:
         else:
             if self.lam is not None or self.k is not None:
                 raise ValueError("quadratic spec takes no threshold parameter")
+        hi = math.inf if self.family is LossFamily.QUADRATIC else self.tau
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", -math.inf if self.family is LossFamily.ONE_SIDED else -hi)
 
     def saturates(self, r: float) -> bool:
-        """The family's one saturation rule: ``r > tau`` for one-sided,
-        ``|r| > tau`` for symmetric, never for quadratic."""
-        if self.family is LossFamily.ONE_SIDED:
-            return r > self.tau
-        return self.family is LossFamily.SYMMETRIC and abs(r) > self.tau
+        """The one saturation rule: ``r`` lies outside ``[lo, hi]``."""
+        return r > self.hi or r < self.lo
 
     @property
     def slope(self) -> float:

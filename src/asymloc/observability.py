@@ -64,7 +64,7 @@ def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float],
     """Turn a residual into a curvature sample: weight is the loss's second
     derivative at ``r``; zero weight marks the sample saturated."""
     w = loss_curvature(r, spec)
-    return CurvatureSample(jacobian=jacobian, weight=w, saturated=(w == 0.0), step=step)
+    return tuple.__new__(CurvatureSample, (jacobian, w, w == 0.0, step))
 
 
 def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,

@@ -159,9 +159,9 @@ def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
     b_r = scenario.mu_nlos * e_bias if is_nlos else 0.0
     if b_r < 0.0:
         raise ValueError("range NLOS bias must be non-negative")
-    return ChannelDraw(is_nlos, b_r,
-                       scenario.sigma_b_theta_rad * z_btheta if is_nlos_aoa else 0.0,
-                       scenario.sigma_r * z_r, scenario.sigma_theta_rad * z_theta, is_nlos_aoa)
+    return tuple.__new__(ChannelDraw, (
+        is_nlos, b_r, scenario.sigma_b_theta_rad * z_btheta if is_nlos_aoa else 0.0,
+        scenario.sigma_r * z_r, scenario.sigma_theta_rad * z_theta, is_nlos_aoa))
 
 
 def observe_with_draw(scenario: Scenario, agent, draws: tuple,
@@ -184,8 +184,8 @@ def observe_with_draw(scenario: Scenario, agent, draws: tuple,
         y_rtt = 0.0
     y_aoa = wrap_angle(true_bearing + scenario.delta_theta_rad + draw.b_theta + draw.eps_theta)
 
-    return (Measurement(Modality.RTT, y_rtt, agent, step),
-            Measurement(Modality.AOA, y_aoa, agent, step), draw, clamped)
+    return (tuple.__new__(Measurement, (Modality.RTT, y_rtt, agent, step)),
+            tuple.__new__(Measurement, (Modality.AOA, y_aoa, agent, step)), draw, clamped)
 
 
 def _canonical(sigma_r: float) -> Scenario:

@@ -12,12 +12,14 @@ from asymloc.config import parse_config
 from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregate,
                                 format_table, run_grid, run_single, summary_rows, sweep,
                                 write_cell_csv, write_summary_csv, write_sweep_csv)
-from asymloc.filters import FilterParams, init_state, make_filter_config, update
+from asymloc.filters import (FilterParams, Measurement, UpdateDiagnostics, init_state,
+                             make_filter_config, update)
+from asymloc.geometry import Modality, h_aoa, h_rtt, linearize, wrap_angle
 from asymloc.knobs import config_fields, key
-from asymloc.losses import LossFamily
-from asymloc.observability import classify_residual
+from asymloc.losses import LossFamily, LossSpec, irls_weight, soft_threshold_bias
+from asymloc.observability import CurvatureSample, classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
-from asymloc.sim_env import Scenario, get_preset, observe_with_draw
+from asymloc.sim_env import ChannelDraw, Scenario, get_preset, observe_with_draw, sample_channel
 
 
 @pytest.fixture
@@ -263,6 +265,93 @@ class TestWorld:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
         assert world.observe(sc.start, 0)[0] is m_rtt
+
+
+def assert_same_record(got, want):
+    """``got`` is a record of ``want``'s type equal to it field by field."""
+    assert type(got) is type(want)
+    assert got == want
+    assert got._asdict() == want._asdict()
+
+
+class TestPositionalRecords:
+    """The step's records are built positionally; each must equal the record
+    built with keywords from independently computed field values."""
+
+    AGENT = (10.0, 20.0)
+
+    def one_round_update(self, modality, value):
+        cfg = make_filter_config("proposed", 1.5, math.radians(2.0),
+                                 FilterParams(irls_iterations=1))
+        st = init_state(cfg, (50.0, 45.0))
+        m0, m1, m2, m3 = st.m
+        is_aoa = modality is Modality.AOA
+        pred, _, j0, j1 = linearize((m0, m1), self.AGENT, is_aoa)
+        spec = cfg.aoa_loss if is_aoa else cfg.rtt_loss
+        r = wrap_angle(value - pred - m3) if is_aoa else value - pred - m2
+        _, diag = update(st, Measurement(modality, value, self.AGENT, 4), cfg)
+        return diag, spec, r, (j0, j1)
+
+    def test_applied_range_update(self):
+        value = h_rtt((50.0, 45.0), self.AGENT) + 30.0
+        diag, spec, r, jac = self.one_round_update(Modality.RTT, value)
+        w = irls_weight(r, spec)
+        assert w < 1.0  # every field but skipped differs from its default
+        assert_same_record(diag, UpdateDiagnostics(
+            modality=Modality.RTT, residual=r, weight=w, saturated=True,
+            implied_bias=soft_threshold_bias(r, spec), jacobian_pos=jac, skipped=False))
+
+    def test_applied_bearing_update(self):
+        value = h_aoa((50.0, 45.0), self.AGENT) + 0.3
+        diag, spec, r, jac = self.one_round_update(Modality.AOA, value)
+        w = irls_weight(r, spec)
+        assert_same_record(diag, UpdateDiagnostics(
+            modality=Modality.AOA, residual=r, weight=w, saturated=w < 1.0,
+            implied_bias=None, jacobian_pos=jac, skipped=False))
+
+    @pytest.mark.parametrize("modality,estimate", [
+        (Modality.RTT, (10.0, 20.0)),   # on the agent
+        (Modality.AOA, (10.0, 20.0)),
+        (Modality.AOA, (10.5, 20.0)),   # within MIN_AOA_RANGE
+    ])
+    def test_skipped_update(self, modality, estimate):
+        cfg = make_filter_config("proposed", 1.5, math.radians(2.0))
+        st = init_state(cfg, estimate)
+        z = Measurement(modality, 1.0, self.AGENT)
+        st2, diag = update(st, z, cfg)
+        assert st2 is st
+        assert_same_record(diag, UpdateDiagnostics(modality, skipped=True))
+
+    def test_classify_residual(self):
+        spec = LossSpec.one_sided(sigma=1.5, lam=1.0)
+        assert_same_record(classify_residual(2 * spec.tau, spec, (0.6, 0.8), step=3),
+                           CurvatureSample(jacobian=(0.6, 0.8), weight=0.0, saturated=True,
+                                           step=3))
+        assert_same_record(classify_residual(-2 * spec.tau, spec, (0.6, 0.8)),
+                           CurvatureSample(jacobian=(0.6, 0.8), weight=1.0 / 1.5**2,
+                                           saturated=False, step=0))
+
+    @pytest.mark.parametrize("u_shared,u_aoa", [(0.2, 0.7), (0.7, 0.2)])
+    def test_sample_channel_and_observe_with_draw(self, u_shared, u_aoa):
+        sc = Scenario(p_nlos=0.5, shared_nlos_flag=False)
+        draws = (u_shared, u_aoa, 1.25, -0.4, 0.3, -0.6)
+        is_nlos, is_nlos_aoa = u_shared < 0.5, u_aoa < 0.5
+        want = ChannelDraw(is_nlos=is_nlos, b_r=sc.mu_nlos * 1.25 if is_nlos else 0.0,
+                           b_theta=sc.sigma_b_theta_rad * -0.4 if is_nlos_aoa else 0.0,
+                           eps_r=sc.sigma_r * 0.3, eps_theta=sc.sigma_theta_rad * -0.6,
+                           is_nlos_aoa=is_nlos_aoa)
+        assert_same_record(sample_channel(sc, self.AGENT, draws), want)
+
+        m_rtt, m_aoa, draw, clamped = observe_with_draw(sc, self.AGENT, draws, 7)
+        assert_same_record(draw, want)
+        assert not clamped
+        y_rtt = h_rtt(sc.truth, self.AGENT) + sc.delta_r + want.b_r + want.eps_r
+        y_aoa = wrap_angle(h_aoa(sc.truth, self.AGENT) + sc.delta_theta_rad + want.b_theta
+                           + want.eps_theta)
+        assert_same_record(m_rtt, Measurement(modality=Modality.RTT, value=y_rtt,
+                                              agent=self.AGENT, step=7))
+        assert_same_record(m_aoa, Measurement(modality=Modality.AOA, value=y_aoa,
+                                              agent=self.AGENT, step=7))
 
 
 class TestGrid:

@@ -299,3 +299,55 @@ class TestSaturationRuleProperties:
             assume(abs(r - one.tau) > 1e-9 * one.tau and abs(r - sym.tau) > 1e-9 * sym.tau)
             for f in fns:
                 assert f(r, one) == pytest.approx(f(r, sym), rel=1e-12)
+
+
+def ref_saturates(r, spec):
+    """The per-family saturation rule the interval ``[lo, hi]`` replaced."""
+    if spec.family is LossFamily.ONE_SIDED:
+        return r > spec.tau
+    return spec.family is LossFamily.SYMMETRIC and abs(r) > spec.tau
+
+
+def ref_irls_weight(r, spec):
+    return spec.tau / abs(r) if ref_saturates(r, spec) else 1.0
+
+
+def ref_loss_curvature(r, spec):
+    return 0.0 if ref_saturates(r, spec) else 1.0 / spec.sigma**2
+
+
+# a quadratic spec keeps a tau passed to the constructor, which never saturates it
+STRAY_TAU = st.builds(lambda s, t: LossSpec(LossFamily.QUADRATIC, s, tau=t), SIGMAS, KS)
+
+
+def edge_residuals(spec):
+    """Signed zeros, infinities, NaN, and +-tau with both float neighbours."""
+    out = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    if spec.tau is not None:
+        for edge in (spec.tau, -spec.tau):
+            out += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+    return out
+
+
+class TestSaturationInterval:
+    def test_interval_per_family(self):
+        assert (ONE.lo, ONE.hi) == (-math.inf, ONE.tau)
+        assert (SYM.lo, SYM.hi) == (-SYM.tau, SYM.tau)
+        assert (QUAD.lo, QUAD.hi) == (-math.inf, math.inf)
+
+    def test_interval_is_derived_not_compared(self):
+        a = LossSpec.one_sided(sigma=1.5, lam=1.0)
+        assert a == LossSpec.one_sided(sigma=1.5, k=1.5)
+        assert "lo=" not in repr(a) and "hi=" not in repr(a)
+        with pytest.raises(TypeError):
+            LossSpec(LossFamily.QUADRATIC, 1.0, lo=-1.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(spec=SPECS | STRAY_TAU,
+           r=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_interval_rule_equals_the_per_family_rule(self, spec, r):
+        for x in [r, *edge_residuals(spec)]:
+            assert spec.saturates(x) is ref_saturates(x, spec), x
+            # repr matches NaN to NaN and tells -0.0 from 0.0: the same bits
+            assert repr(irls_weight(x, spec)) == repr(ref_irls_weight(x, spec)), x
+            assert repr(loss_curvature(x, spec)) == repr(ref_loss_curvature(x, spec)), x
