@@ -183,9 +183,9 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                 # read after the update: an EM refresh replaces the range loss
                 if not d_rtt.skipped:
                     track(classify_residual(d_rtt.residual, filt.config.rtt_loss,
-                                            d_rtt.jacobian_pos, t))
+                                            d_rtt.jacobian_pos))
                 if not d_aoa.skipped:
-                    track(classify_residual(d_aoa.residual, aoa_loss, d_aoa.jacobian_pos, t))
+                    track(classify_residual(d_aoa.residual, aoa_loss, d_aoa.jacobian_pos))
             ex, ey, br, bt = filt.state.m
             est_x.append(ex)
             est_y.append(ey)
@@ -225,7 +225,8 @@ def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:
         raise ValueError("need at least one run")
     err = np.stack([r.errors for r in runs])
     rmse = np.sqrt(np.nanmean(err * err, axis=0))
-    above = rmse > threshold
+    # a step every run aborted before has a NaN RMSE: not settled
+    above = ~(rmse <= threshold)
     if not above.any():
         settle: Optional[int] = 0
     elif above[-1]:

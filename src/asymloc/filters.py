@@ -22,16 +22,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .geometry import CoincidentPointsError, Modality, linearize, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
-
-STATE_DIM = 4
 
 FILTER_KINDS = ("proposed", "huber", "ekf")
 
@@ -39,10 +34,6 @@ FILTER_KINDS = ("proposed", "huber", "ekf")
 # (Jacobian blows up as 1/d); below this predicted range the AoA update
 # is skipped like a coincident measurement
 MIN_AOA_RANGE = 1.0
-
-# where each of the 16 covariance entries sits among the 10 distinct ones,
-# listed row by row from the diagonal (n00, n01, n02, n03, n11, ..., n33)
-_UPPER_INDEX = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 class Measurement(NamedTuple):
@@ -54,46 +45,13 @@ class Measurement(NamedTuple):
     step: int = 0
 
 
-class EstimatorState(tuple):
-    """Gaussian belief over the augmented state, an immutable pair of float
-    tuples: ``m``, the 4 mean entries, and ``p``, the 10 distinct covariance
-    entries row by row from the diagonal (``p00, p01, p02, p03, p11, ...,
-    p33``). The constructor refuses (``ValueError``) a covariance not exactly
-    symmetric; ``mean`` (4,) and ``cov`` (4, 4) are fresh read-only arrays.
-    """
+class EstimatorState(NamedTuple):
+    """Gaussian belief over the augmented state as two float tuples: ``m``,
+    the 4 mean entries, and ``p``, the 10 distinct covariance entries row by
+    row from the diagonal (``p00, p01, p02, p03, p11, ..., p33``)."""
 
-    __slots__ = ()
-    m = property(itemgetter(0))
-    p = property(itemgetter(1))
-
-    def __new__(cls, mean, cov):
-        m = np.asarray(mean, dtype=float)
-        if m.shape != (STATE_DIM,):
-            raise ValueError(f"mean must have shape (4,), got {m.shape}")
-        p = np.asarray(cov, dtype=float)
-        if p.shape != (STATE_DIM, STATE_DIM) or not np.array_equal(p, p.T, equal_nan=True):
-            raise ValueError(f"cov must be exactly symmetric with shape (4, 4), got {p.shape}")
-        return _state(tuple(m.tolist()), tuple(p[np.triu_indices(STATE_DIM)].tolist()))
-
-    def __reduce__(self):
-        return _state, tuple(self)
-
-    @property
-    def mean(self) -> np.ndarray:
-        out = np.array(self.m)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def cov(self) -> np.ndarray:
-        out = np.array(self.p)[_UPPER_INDEX]
-        out.flags.writeable = False
-        return out
-
-
-def _state(m: tuple, p: tuple) -> EstimatorState:
-    """An :class:`EstimatorState` from its float tuples, without parsing."""
-    return tuple.__new__(EstimatorState, (m, p))
+    m: tuple[float, float, float, float]
+    p: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -189,8 +147,8 @@ def init_state(config: FilterConfig, initial_guess) -> EstimatorState:
     x, y = float(initial_guess[0]), float(initial_guess[1])
     p = config.params
     var = p.init_position_std**2
-    return _state((x, y, 0.0, 0.0), (var, 0.0, 0.0, 0.0, var, 0.0, 0.0, p.sigma_delta_r**2, 0.0,
-                                     p.sigma_delta_theta_rad**2))
+    return EstimatorState((x, y, 0.0, 0.0), (var, 0.0, 0.0, 0.0, var, 0.0, 0.0,
+                                             p.sigma_delta_r**2, 0.0, p.sigma_delta_theta_rad**2))
 
 
 def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
@@ -199,7 +157,7 @@ def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     q, p = process_noise, state.p
     if q > 0.0:
         p = (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5], p[6], p[7] + q, p[8], p[9] + q)
-    return _state(state.m, p)
+    return EstimatorState(state.m, p)
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -284,7 +242,7 @@ def update(state: EstimatorState, z: Measurement,
         raise FilterDivergenceError(
             f"{modality.value} update at step {z.step} gave mean {[e0, e1, e2, e3]} "
             f"and variances {[n00, n11, n22, n33]}")
-    new_state = _state((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
+    new_state = EstimatorState((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
     # ones that produced the applied gain; built positionally, in field order

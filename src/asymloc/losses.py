@@ -78,7 +78,7 @@ class LossSpec:
     sigma: float
     lam: Optional[float] = None
     k: Optional[float] = None
-    tau: Optional[float] = None
+    tau: Optional[float] = field(default=None, init=False)
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
 
@@ -169,16 +169,10 @@ def loss_curvature(r: float, spec: LossSpec) -> float:
     """Second derivative of :func:`loss`.
 
     ``1/sigma^2`` in the quadratic region, 0 in the saturated region. At
-    the exact kink (measure-zero) the left limit ``1/sigma^2`` is returned;
-    use :func:`at_curvature_kink` to detect that case.
+    the exact kink (measure-zero) the left limit ``1/sigma^2`` is returned:
+    the threshold itself does not saturate (:meth:`LossSpec.saturates`).
     """
     return 0.0 if spec.saturates(r) else 1.0 / spec.sigma**2
-
-
-def at_curvature_kink(r: float, spec: LossSpec) -> bool:
-    """True when ``r`` sits exactly on the loss threshold: unsaturated, but
-    the next float farther from zero is saturated."""
-    return not spec.saturates(r) and spec.saturates(math.nextafter(r, math.copysign(math.inf, r)))
 
 
 def irls_weight(r: float, spec: LossSpec) -> float:

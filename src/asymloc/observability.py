@@ -18,8 +18,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import math
 
-import numpy as np
-
 from .losses import LossSpec, loss_curvature
 
 
@@ -31,7 +29,6 @@ class CurvatureSample(NamedTuple):
     jacobian: Sequence[float]
     weight: float
     saturated: bool
-    step: int = 0
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,6 @@ class CurvatureReport:
     n_saturated: int
     n_active: int
 
-    @property
-    def matrix(self) -> np.ndarray:
-        a, b, c = self.entries
-        return np.array([[a, b], [b, c]])
-
 
 def eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
     """Eigenvalues (min, max) of the symmetric matrix ``[[a, b], [b, c]]``."""
@@ -59,12 +51,11 @@ def eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
     return half_trace - radius, half_trace + radius
 
 
-def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float],
-                      step: int = 0) -> CurvatureSample:
+def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float]) -> CurvatureSample:
     """Turn a residual into a curvature sample: weight is the loss's second
     derivative at ``r``; zero weight marks the sample saturated."""
     w = loss_curvature(r, spec)
-    return tuple.__new__(CurvatureSample, (jacobian, w, w == 0.0, step))
+    return tuple.__new__(CurvatureSample, (jacobian, w, w == 0.0))
 
 
 def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,

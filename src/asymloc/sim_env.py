@@ -43,10 +43,6 @@ class Rect:
         if self.half_width <= 0.0 or self.half_height <= 0.0:
             raise ValueError("rectangle extents must be positive")
 
-    def contains(self, x: float, y: float) -> bool:
-        return (abs(x - self.cx) <= self.half_width
-                and abs(y - self.cy) <= self.half_height)
-
 
 def segment_intersects_rect(a, b, rect: Rect) -> bool:
     """True iff the closed segment a-b meets the closed rectangle.

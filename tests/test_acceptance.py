@@ -23,6 +23,7 @@ from asymloc.observability import CurvatureSample, accumulate, crossing_improves
 from asymloc.planners import PlannerConfig, fim_e_optimal, reactive_crossing
 from asymloc.sim_env import Scenario, get_preset
 
+from arrays import cov_of, matrix_of, mean_of
 from test_filters import independent_plain_ekf
 
 
@@ -133,7 +134,7 @@ def test_criterion_03_curvature_degeneracy():
     # all-saturated set collapses to the zero matrix
     saturated = [CurvatureSample(rng.normal(0, 1, 2), 0.0, True) for _ in range(40)]
     rep = accumulate(saturated)
-    assert np.array_equal(rep.matrix, np.zeros((2, 2)))
+    assert np.array_equal(matrix_of(rep), np.zeros((2, 2)))
     assert rep.lambda_min == 0.0
 
     worst_gain = math.inf
@@ -144,7 +145,7 @@ def test_criterion_03_curvature_degeneracy():
         before = accumulate(base)
         if before.lambda_max - before.lambda_min < 1e-9:
             continue
-        _, evecs = np.linalg.eigh(before.matrix)
+        _, evecs = np.linalg.eigh(matrix_of(before))
         angle = float(rng.uniform(-np.deg2rad(80), np.deg2rad(80)))
         c, s = math.cos(angle), math.sin(angle)
         j = np.array([[c, -s], [s, c]]) @ evecs[:, 0]
@@ -358,7 +359,7 @@ def test_criterion_09_reduction_sanity():
         cfg = make_filter_config("ekf", sigma_r, sigma_t)
         truth = rng.uniform(20, 80, 2)
         st = init_state(cfg, rng.uniform(20, 80, 2))
-        mean_ref, cov_ref = st.mean.copy(), st.cov.copy()
+        mean_ref, cov_ref = mean_of(st), cov_of(st)
         for step in range(10):
             agent = tuple(rng.uniform(0, 100, 2))
             if h_rtt(truth, agent) < 2.0:
@@ -375,8 +376,8 @@ def test_criterion_09_reduction_sanity():
             st, _ = update(st, z, cfg)
             mean_ref, cov_ref = independent_plain_ekf(mean_ref, cov_ref, z, sig,
                                                      cfg.params.process_noise)
-            worst = max(worst, float(np.abs(st.mean - mean_ref).max()),
-                        float(np.abs(st.cov - cov_ref).max()))
+            worst = max(worst, float(np.abs(mean_of(st) - mean_ref).max()),
+                        float(np.abs(cov_of(st) - cov_ref).max()))
     assert worst <= 1e-9
 
     # zero-noise closed loop converges below 1 cm within 30 steps

@@ -21,6 +21,7 @@ from asymloc.experiment import World
 from asymloc.filters import RobustEkf, make_filter_config
 from asymloc.planners import PlannerConfig, make_planner
 from asymloc.sim_env import get_preset
+from arrays import cov_of, mean_of
 
 N_RUNS = 50
 N_STEPS = 300
@@ -57,8 +58,8 @@ def ekf_passive_nees(scenario) -> np.ndarray:
             if obs is not None:  # the lawnmower may pass exactly over the target
                 filt.update(obs[0])
                 filt.update(obs[1])
-            errors[i, t] = filt.state.mean - truth
-            covs[i, t] = filt.state.cov
+            errors[i, t] = mean_of(filt.state) - truth
+            covs[i, t] = cov_of(filt.state)
             agent = planner.next_pose(agent, filt.state.m[:2])
     return np.einsum("rti,rti->rt", errors, np.linalg.solve(covs, errors[..., None])[..., 0])
 

@@ -10,8 +10,9 @@ import pytest
 from asymloc import experiment
 from asymloc.config import parse_config
 from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregate,
-                                format_table, run_grid, run_single, summary_rows, sweep,
-                                write_cell_csv, write_summary_csv, write_sweep_csv)
+                                format_table, run_grid, run_single, summary_fields,
+                                summary_rows, sweep, write_cell_csv, write_summary_csv,
+                                write_sweep_csv)
 from asymloc.filters import (FilterParams, Measurement, UpdateDiagnostics, init_state,
                              make_filter_config, update)
 from asymloc.geometry import Modality, h_aoa, h_rtt, linearize, wrap_angle
@@ -20,6 +21,7 @@ from asymloc.losses import LossFamily, LossSpec, irls_weight, soft_threshold_bia
 from asymloc.observability import CurvatureSample, classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
 from asymloc.sim_env import ChannelDraw, Scenario, get_preset, observe_with_draw, sample_channel
+from arrays import cov_of
 
 
 @pytest.fixture
@@ -92,6 +94,20 @@ class TestAggregate:
         assert cell.metrics.n_runs == 2
         assert cell.metrics.rmse_series[1] == 3.0
         assert cell.live_runs == [2, 1, 1]
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    def test_a_step_every_run_aborted_before_is_not_settled(self):
+        # both runs abort at step 4, 9 m off: from there the RMSE is NaN,
+        # which is not at or below the threshold, so the cell never settles
+        runs = []
+        for _ in range(2):
+            run = make_run([9.0] * 4 + [math.nan] * 6)
+            run.aborted_at = 4
+            runs.append(run)
+        m = aggregate(runs, threshold=2.5)
+        assert math.isnan(m.final_rmse)
+        assert m.steps_to_threshold is None
+        assert summary_fields("proposed (passive)", m)[2] == "none"
 
     def test_live_runs_without_aborts(self):
         runs = [make_run([1.0, 2.0]), make_run([3.0, 4.0]), make_run([5.0, 6.0])]
@@ -324,12 +340,11 @@ class TestPositionalRecords:
 
     def test_classify_residual(self):
         spec = LossSpec.one_sided(sigma=1.5, lam=1.0)
-        assert_same_record(classify_residual(2 * spec.tau, spec, (0.6, 0.8), step=3),
-                           CurvatureSample(jacobian=(0.6, 0.8), weight=0.0, saturated=True,
-                                           step=3))
+        assert_same_record(classify_residual(2 * spec.tau, spec, (0.6, 0.8)),
+                           CurvatureSample(jacobian=(0.6, 0.8), weight=0.0, saturated=True))
         assert_same_record(classify_residual(-2 * spec.tau, spec, (0.6, 0.8)),
                            CurvatureSample(jacobian=(0.6, 0.8), weight=1.0 / 1.5**2,
-                                           saturated=False, step=0))
+                                           saturated=False))
 
     @pytest.mark.parametrize("u_shared,u_aoa", [(0.2, 0.7), (0.7, 0.2)])
     def test_sample_channel_and_observe_with_draw(self, u_shared, u_aoa):
@@ -434,7 +449,7 @@ class TestGrid:
         class RecordingEkf(experiment.RobustEkf):
             def __init__(self, config, initial_guess):
                 super().__init__(config, initial_guess)
-                built.append((config, self.state.cov.copy()))
+                built.append((config, cov_of(self.state)))
         monkeypatch.setattr(experiment, "RobustEkf", RecordingEkf)
         run_grid(cfg)
 

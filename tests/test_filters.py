@@ -13,6 +13,7 @@ from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterD
                              predict, update)
 from asymloc.geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, loss
+from arrays import belief, cov_of, mean_of
 
 
 def one_sided_config(rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0), **params):
@@ -25,33 +26,36 @@ class TestInit:
         cfg = one_sided_config(init_position_std=40.0, sigma_delta_r=2.0,
                                sigma_delta_theta_deg=math.degrees(0.0873))
         st = init_state(cfg, (50.0, 50.0))
-        np.testing.assert_array_equal(st.mean, [50.0, 50.0, 0.0, 0.0])
-        np.testing.assert_allclose(np.diag(st.cov), [1600.0, 1600.0, 4.0, 0.0873**2])
-        assert (st.cov == st.cov.T).all()
-        assert (np.linalg.eigvalsh(st.cov) > 0).all()
+        np.testing.assert_array_equal(mean_of(st), [50.0, 50.0, 0.0, 0.0])
+        np.testing.assert_allclose(np.diag(cov_of(st)), [1600.0, 1600.0, 4.0, 0.0873**2])
+        assert (cov_of(st) == cov_of(st).T).all()
+        assert (np.linalg.eigvalsh(cov_of(st)) > 0).all()
 
     def test_offsets_start_at_zero(self):
         st = init_state(one_sided_config(), (12.0, 3.0))
-        assert st.mean[2] == st.mean[3] == 0.0
+        assert mean_of(st)[2] == mean_of(st)[3] == 0.0
 
 
 class TestEstimatorState:
     def test_float_layout(self):
         cov = np.arange(16.0).reshape(4, 4)
-        st = EstimatorState(np.array([1.0, 2.0, 3.0, 4.0]), cov + cov.T)
-        assert st.m == (1.0, 2.0, 3.0, 4.0)
-        assert st.p == (0.0, 5.0, 10.0, 15.0, 10.0, 15.0, 20.0, 20.0, 25.0, 30.0)
-        np.testing.assert_array_equal(st.cov, cov + cov.T)
+        st = belief(np.array([1.0, 2.0, 3.0, 4.0]), cov + cov.T)
+        assert st == EstimatorState((1.0, 2.0, 3.0, 4.0),
+                                    (0.0, 5.0, 10.0, 15.0, 10.0, 15.0, 20.0, 20.0, 25.0, 30.0))
+        np.testing.assert_array_equal(mean_of(st), [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(cov_of(st), cov + cov.T)
 
+    # the array helper that builds a state from (mean, cov) refuses what the
+    # float layout cannot hold
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.zeros((2, 2))])
     def test_mean_of_wrong_shape_is_refused(self, bad):
         with pytest.raises(ValueError, match="mean must have shape"):
-            EstimatorState(bad, np.eye(4))
+            belief(bad, np.eye(4))
 
     @pytest.mark.parametrize("bad", [np.eye(3), np.eye(5), np.ones(16), np.ones((4, 4, 1))])
     def test_cov_of_wrong_shape_is_refused(self, bad):
         with pytest.raises(ValueError, match="exactly symmetric"):
-            EstimatorState(np.zeros(4), bad)
+            belief(np.zeros(4), bad)
 
     def test_non_symmetric_cov_is_refused(self):
         # the state keeps one triangle, so a differing lower one would be lost
@@ -59,39 +63,30 @@ class TestEstimatorState:
             bad = np.eye(4)
             bad[i, j] = 0.1
             with pytest.raises(ValueError, match="exactly symmetric"):
-                EstimatorState(np.zeros(4), bad)
+                belief(np.zeros(4), bad)
         near = np.eye(4)
         near[0, 1], near[1, 0] = 0.1, np.nextafter(0.1, 1.0)
         with pytest.raises(ValueError, match="exactly symmetric"):
-            EstimatorState(np.zeros(4), near)
-
-    def test_views_are_read_only_and_fresh(self):
-        st = init_state(one_sided_config(), (50.0, 50.0))
-        with pytest.raises(ValueError, match="read-only"):
-            st.mean[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            st.cov[0, 0] = 1.0
-        mean = st.mean.copy()
-        mean[0] = 1.0
-        assert st.mean[0] == 50.0
-        assert st.mean is not st.mean
+            belief(np.zeros(4), near)
 
     def test_mean_and_cov_cannot_be_assigned(self):
-        # nor their float tuples: an assigned m of two entries would make
-        # mean read shape (2,)
+        # neither the float tuples m and p nor their entries, and no array
+        # attribute can be set beside them
         st = init_state(one_sided_config(), (50.0, 50.0))
-        for name, value in (("mean", np.ones(4)), ("cov", np.eye(4)), ("m", (1.0, 2.0)),
-                            ("p", (1.0,) * 10)):
+        for name, value in (("m", (1.0, 2.0)), ("p", (1.0,) * 10), ("mean", np.ones(4)),
+                            ("cov", np.eye(4))):
             with pytest.raises(AttributeError):
                 setattr(st, name, value)
-        assert st.cov[0, 0] == 1600.0 and st.mean[0] == 50.0
-        assert st.mean.shape == (4,)
+        with pytest.raises(TypeError):
+            st.m[0] = 1.0
+        assert st.m == (50.0, 50.0, 0.0, 0.0) and st.p[0] == 1600.0
 
     def test_copies_keep_the_floats(self):
         st = predict(init_state(one_sided_config(), (50.0, 20.0)), 1e-3)
         for copied in (pickle.loads(pickle.dumps(st)), copy.deepcopy(st)):
             assert type(copied) is EstimatorState
             assert (copied.m, copied.p) == (st.m, st.p)
+            assert type(copied.m) is tuple and type(copied.p) is tuple
 
     @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
     def test_predict_and_update_leave_their_input_unchanged(self, modality):
@@ -113,8 +108,8 @@ class TestPredict:
     def test_zero_noise_identity(self):
         st = init_state(one_sided_config(), (10.0, 10.0))
         st2 = predict(st, 0.0)
-        np.testing.assert_array_equal(st2.mean, st.mean)
-        np.testing.assert_array_equal(st2.cov, st.cov)
+        np.testing.assert_array_equal(mean_of(st2), mean_of(st))
+        np.testing.assert_array_equal(cov_of(st2), cov_of(st))
 
     def test_trace_nondecreasing_and_linear(self):
         st = init_state(one_sided_config(), (10.0, 10.0))
@@ -122,8 +117,8 @@ class TestPredict:
         cur = st
         for n in range(1, 6):
             cur = predict(cur, q)
-            assert np.trace(cur.cov) >= np.trace(st.cov)
-            np.testing.assert_allclose(cur.cov, st.cov + n * q * np.eye(4), atol=1e-15)
+            assert np.trace(cov_of(cur)) >= np.trace(cov_of(st))
+            np.testing.assert_allclose(cov_of(cur), cov_of(st) + n * q * np.eye(4), atol=1e-15)
 
 
 class TestUpdate:
@@ -133,7 +128,7 @@ class TestUpdate:
         agent = (10.0, 10.0)
         z = Measurement(Modality.RTT, h_rtt((50.0, 50.0), agent), agent)
         st2, diag = update(st, z, cfg)
-        np.testing.assert_allclose(st2.mean, st.mean, atol=1e-12)
+        np.testing.assert_allclose(mean_of(st2), mean_of(st), atol=1e-12)
         assert diag.weight == 1.0
         assert not diag.saturated
 
@@ -143,7 +138,7 @@ class TestUpdate:
         cfg = one_sided_config(irls_iterations=1)
         agent = (0.0, 0.0)
         truth = np.array([30.0, 0.0, 0.0, 0.0])
-        base = EstimatorState(truth.copy(), 1e-3 * np.eye(4))
+        base = belief(truth.copy(), 1e-3 * np.eye(4))
         tau = cfg.rtt_loss.tau
         z_small = Measurement(Modality.RTT, 30.0 + 0.5 * tau, agent)
         z_big = Measurement(Modality.RTT, 30.0 + 10.0 * tau, agent)
@@ -151,8 +146,8 @@ class TestUpdate:
         st_big, d_big = update(base, z_big, cfg)
         assert d_small.weight == 1.0
         assert d_big.weight == pytest.approx(0.1, rel=1e-6)
-        gain_small = np.linalg.norm(st_small.mean - base.mean) / (0.5 * tau)
-        gain_big = np.linalg.norm(st_big.mean - base.mean) / (10.0 * tau)
+        gain_small = np.linalg.norm(mean_of(st_small) - mean_of(base)) / (0.5 * tau)
+        gain_big = np.linalg.norm(mean_of(st_big) - mean_of(base)) / (10.0 * tau)
         assert gain_big == pytest.approx(0.1 * gain_small, rel=0.02)
 
     def test_coincident_estimate_skips(self):
@@ -161,8 +156,8 @@ class TestUpdate:
         z = Measurement(Modality.RTT, 5.0, (10.0, 10.0))
         st2, diag = update(st, z, cfg)
         assert diag.skipped
-        np.testing.assert_array_equal(st2.mean, st.mean)
-        np.testing.assert_array_equal(st2.cov, st.cov)
+        np.testing.assert_array_equal(mean_of(st2), mean_of(st))
+        np.testing.assert_array_equal(cov_of(st2), cov_of(st))
 
     def test_aoa_update_skipped_below_range_floor(self):
         # the floor is filters.MIN_AOA_RANGE (1 m): strictly nearer is skipped;
@@ -175,7 +170,7 @@ class TestUpdate:
 
     def test_rtt_diagnostics_carry_implied_bias(self):
         cfg = one_sided_config()
-        st = EstimatorState(init_state(cfg, (50.0, 50.0)).mean,
+        st = belief(mean_of(init_state(cfg, (50.0, 50.0))),
                             np.diag([1.0, 1.0, 0.5, 0.01]))  # converged-filter regime
         agent = (10.0, 10.0)
         z = Measurement(Modality.RTT, h_rtt((50.0, 50.0), agent) + 30.0, agent)
@@ -294,10 +289,10 @@ class TestMapOracle:
                 best = (float(vals[i]), (X1[i], X2[i], DR[i], dt))
         x1o, x2o, dro, dto = best[1]
 
-        assert st.mean[0] == pytest.approx(x1o, abs=0.1)
-        assert st.mean[1] == pytest.approx(x2o, abs=0.1)
-        assert st.mean[2] == pytest.approx(dro, abs=0.1)
-        assert st.mean[3] == pytest.approx(dto, abs=0.01)
+        assert mean_of(st)[0] == pytest.approx(x1o, abs=0.1)
+        assert mean_of(st)[1] == pytest.approx(x2o, abs=0.1)
+        assert mean_of(st)[2] == pytest.approx(dro, abs=0.1)
+        assert mean_of(st)[3] == pytest.approx(dto, abs=0.01)
 
 
 def independent_plain_ekf(mean, cov, z, sigma, q):
@@ -334,7 +329,7 @@ class TestReduction:
             cfg = make_filter_config("ekf", sigma_r, sigma_t, FilterParams(process_noise=q))
             truth = rng.uniform(20, 80, 2)
             st = init_state(cfg, rng.uniform(20, 80, 2))
-            mean_ref, cov_ref = st.mean.copy(), st.cov.copy()
+            mean_ref, cov_ref = mean_of(st), cov_of(st)
             for step in range(12):
                 agent = tuple(rng.uniform(0, 100, 2))
                 d = h_rtt(truth, agent)
@@ -351,14 +346,14 @@ class TestReduction:
                 st = predict(st, q)
                 st, _ = update(st, z, cfg)
                 mean_ref, cov_ref = independent_plain_ekf(mean_ref, cov_ref, z, sig, q)
-                np.testing.assert_allclose(st.mean, mean_ref, atol=1e-9)
-                np.testing.assert_allclose(st.cov, cov_ref, atol=1e-9)
+                np.testing.assert_allclose(mean_of(st), mean_ref, atol=1e-9)
+                np.testing.assert_allclose(cov_of(st), cov_ref, atol=1e-9)
 
 
 class TestAsymmetry:
     def setup_method(self):
         self.agent = (0.0, 0.0)
-        self.prior = EstimatorState(np.array([40.0, 0.0, 0.0, 0.0]), np.diag([9.0, 9.0, 4.0, 0.01]))
+        self.prior = belief(np.array([40.0, 0.0, 0.0, 0.0]), np.diag([9.0, 9.0, 4.0, 0.01]))
         self.one = one_sided_config()
         self.quad = FilterConfig(rtt_loss=LossSpec.quadratic(1.0),
                                  aoa_loss=LossSpec.quadratic(0.035))
@@ -367,8 +362,8 @@ class TestAsymmetry:
         z = Measurement(Modality.RTT, 40.0 + 25.0, self.agent)
         st_one, _ = update(self.prior, z, self.one)
         st_quad, _ = update(self.prior, z, self.quad)
-        move_one = np.linalg.norm(st_one.mean - self.prior.mean)
-        move_quad = np.linalg.norm(st_quad.mean - self.prior.mean)
+        move_one = np.linalg.norm(mean_of(st_one) - mean_of(self.prior))
+        move_quad = np.linalg.norm(mean_of(st_quad) - mean_of(self.prior))
         assert move_one < move_quad
 
     def test_negative_residual_identical_to_quadratic(self):
@@ -380,8 +375,8 @@ class TestAsymmetry:
         st_one, d1 = update(self.prior, z, cfg_one)
         st_quad, d2 = update(self.prior, z, cfg_quad)
         assert d1.weight == 1.0
-        np.testing.assert_allclose(st_one.mean, st_quad.mean, atol=1e-9)
-        np.testing.assert_allclose(st_one.cov, st_quad.cov, atol=1e-9)
+        np.testing.assert_allclose(mean_of(st_one), mean_of(st_quad), atol=1e-9)
+        np.testing.assert_allclose(cov_of(st_one), cov_of(st_quad), atol=1e-9)
 
 
 class TestCovarianceHealth:
@@ -390,16 +385,16 @@ class TestCovarianceHealth:
         cfg = one_sided_config()
         for _ in range(10_000):
             a = rng.normal(0, 3, (4, 4))
-            st = EstimatorState(np.array([*rng.uniform(10, 90, 2), rng.normal(0, 2), rng.normal(0, 0.1)]),
+            st = belief(np.array([*rng.uniform(10, 90, 2), rng.normal(0, 2), rng.normal(0, 0.1)]),
                                 a @ a.T + 1e-6 * np.eye(4))
             agent = tuple(rng.uniform(0, 100, 2))
-            if h_rtt(st.mean[:2], agent) < 1.5:
+            if h_rtt(mean_of(st)[:2], agent) < 1.5:
                 continue
             mod = Modality.RTT if rng.random() < 0.5 else Modality.AOA
             value = float(rng.uniform(0, 120)) if mod is Modality.RTT else float(rng.uniform(-np.pi, np.pi))
             st2, _ = update(st, Measurement(mod, value, agent), cfg)
-            assert np.array_equal(st2.cov, st2.cov.T)
-            assert np.linalg.eigvalsh(st2.cov).min() >= -1e-9
+            assert np.array_equal(cov_of(st2), cov_of(st2).T)
+            assert np.linalg.eigvalsh(cov_of(st2)).min() >= -1e-9
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(kind=hst.sampled_from(FILTER_KINDS),
@@ -416,10 +411,10 @@ class TestCovarianceHealth:
         m = np.array(a).reshape(4, 4)
         sd = 10.0 ** np.array(log_sd)
         prior = (m @ m.T + 1e-3 * np.eye(4)) * np.outer(sd, sd)
-        state = EstimatorState(np.array([pos[0], pos[1], 1.0, 0.01]), 0.5 * (prior + prior.T))
+        state = belief(np.array([pos[0], pos[1], 1.0, 0.01]), 0.5 * (prior + prior.T))
         value = 150.0 * u if rtt else math.pi * (2.0 * u - 1.0)
         z = Measurement(Modality.RTT if rtt else Modality.AOA, value, agent)
-        cov = update(state, z, cfg)[0].cov
+        cov = cov_of(update(state, z, cfg)[0])
         assert np.isfinite(cov).all()
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.trace(cov)
@@ -436,17 +431,17 @@ class TestCovarianceHealth:
         # prediction-only growth P0 + n*q*I
         q = 1e-4
         cfg = one_sided_config(process_noise=q)
-        st = EstimatorState(np.array([30.0, 40.0, 0.0, 0.0]), np.diag([25.0, 25.0, 4.0, 0.01]))
-        p0_pos = st.cov[:2, :2].copy()
+        st = belief(np.array([30.0, 40.0, 0.0, 0.0]), np.diag([25.0, 25.0, 4.0, 0.01]))
+        p0_pos = cov_of(st)[:2, :2]
         n = 50
         agent = (0.0, 0.0)
         for _ in range(n):
             st = predict(st, q)
-            z = Measurement(Modality.RTT, h_rtt(st.mean[:2], agent) + st.mean[2] + 1e10, agent)
+            z = Measurement(Modality.RTT, h_rtt(mean_of(st)[:2], agent) + mean_of(st)[2] + 1e10, agent)
             st, diag = update(st, z, cfg)
             assert diag.weight < 1e-8
         expected = p0_pos + n * q * np.eye(2)
-        assert np.abs(st.cov[:2, :2] - expected).max() <= n * q
+        assert np.abs(cov_of(st)[:2, :2] - expected).max() <= n * q
 
 
 class TestRobustEkfWrapper:
@@ -454,7 +449,7 @@ class TestRobustEkfWrapper:
         cfg = one_sided_config(em_enabled=True, em_window=5,
                                rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0))
         filt = RobustEkf(cfg, (50.0, 50.0))
-        filt.state = EstimatorState(filt.state.mean, 1e-6 * np.eye(4))  # pin the state
+        filt.state = belief(mean_of(filt.state), 1e-6 * np.eye(4))  # pin the state
         agent = (10.0, 10.0)
         d = h_rtt((50.0, 50.0), agent)
         biases = []
@@ -467,7 +462,7 @@ class TestRobustEkfWrapper:
         cfg = one_sided_config(em_enabled=True, em_window=3,
                                rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0))
         filt = RobustEkf(cfg, (50.0, 50.0))
-        filt.state = EstimatorState(filt.state.mean, 1e-6 * np.eye(4))
+        filt.state = belief(mean_of(filt.state), 1e-6 * np.eye(4))
         agent = (10.0, 10.0)
         d = h_rtt((50.0, 50.0), agent)
         for _ in range(3):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, EstimatorState, FilterDivergenceError,
+from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, FilterDivergenceError,
                              Measurement, UpdateDiagnostics, init_state, make_filter_config,
                              predict, update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, linearize,
@@ -31,6 +31,7 @@ from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, lin
 from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
 from asymloc.observability import eig_sym
 from asymloc.planners import PlannerConfig, fim, fim_e_optimal, reactive_crossing
+from arrays import belief, cov_of, mean_of
 
 NOISE = {Modality.RTT: 1.5, Modality.AOA: math.radians(2.0)}
 _DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
@@ -41,17 +42,17 @@ _DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
 # ---------------------------------------------------------------------------
 
 def ref_predict(state, process_noise):
-    cov = state.cov.copy()
+    cov = cov_of(state)
     if process_noise > 0.0:
         cov.flat[::5] += process_noise
-    return EstimatorState(state.mean.copy(), cov)
+    return belief(mean_of(state), cov)
 
 
 def ref_update(state, z, config):
     spec = config.rtt_loss if z.modality is Modality.RTT else config.aoa_loss
     d_idx = _DELTA_INDEX[z.modality]
-    x0 = state.mean
-    P = state.cov
+    x0 = mean_of(state)
+    P = cov_of(state)
 
     H = np.zeros(4)
     H[d_idx] = 1.0
@@ -84,7 +85,7 @@ def ref_update(state, z, config):
     implied = None
     if z.modality is Modality.RTT and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)
-    return EstimatorState(xi, cov), UpdateDiagnostics(z.modality, residual=r, weight=w,
+    return belief(xi, cov), UpdateDiagnostics(z.modality, residual=r, weight=w,
                                                       saturated=w < 1.0, implied_bias=implied,
                                                       jacobian_pos=H[:2].copy())
 
@@ -106,8 +107,8 @@ def ref_float_update(state, z, config):
     d = _DELTA_INDEX[modality]
     h = h_aoa if is_aoa else h_rtt
     sigma2 = spec.sigma**2
-    x0 = state.mean.tolist()
-    P = state.cov.tolist()
+    x0 = mean_of(state).tolist()
+    P = cov_of(state).tolist()
 
     xi = x0
     for _ in range(config.params.irls_iterations):
@@ -141,7 +142,7 @@ def ref_float_update(state, z, config):
     implied = None
     if not is_aoa and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)
-    return EstimatorState(np.array(xi), np.array(cov)), UpdateDiagnostics(
+    return belief(np.array(xi), np.array(cov)), UpdateDiagnostics(
         modality, residual=r, weight=w, saturated=w < 1.0, implied_bias=implied, jacobian_pos=J)
 
 
@@ -263,27 +264,27 @@ def test_predict_bit_identical_to_array_reference(seed, scale, q, steps):
     rng = np.random.default_rng(seed)
     mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
     cov = random_prior(rng, scale)
-    state = EstimatorState(mean, cov)
+    state = belief(mean, cov)
     # the float layout gives back the bits it was built from
-    assert state.mean.tobytes() == mean.tobytes()
-    assert state.cov.tobytes() == cov.tobytes()
+    assert mean_of(state).tobytes() == mean.tobytes()
+    assert cov_of(state).tobytes() == cov.tobytes()
     got = want = state
     for _ in range(steps):
         got, want = predict(got, q), ref_predict(want, q)
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.cov.tobytes() == want.cov.tobytes()
+        assert mean_of(got).tobytes() == mean_of(want).tobytes()
+        assert cov_of(got).tobytes() == cov_of(want).tobytes()
 
 
 def assert_update_parity(state, z, cfg):
     got, gd = update(state, z, cfg)
     want, wd = ref_update(state, z, cfg)
     assert (gd.skipped, gd.saturated) == (wd.skipped, wd.saturated)
-    for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
+    for g, w in ((mean_of(got), mean_of(want)), (cov_of(got), cov_of(want))):
         assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), (g - w, w)
     # against the float reference: every bit, including the diagnostics
     exact, ed = ref_float_update(state, z, cfg)
-    assert got.mean.tolist() == exact.mean.tolist()
-    assert got.cov.tolist() == exact.cov.tolist()
+    assert mean_of(got).tolist() == mean_of(exact).tolist()
+    assert cov_of(got).tolist() == cov_of(exact).tolist()
     jac = None if ed.jacobian_pos is None else tuple(ed.jacobian_pos.tolist())
     assert gd == ed._replace(jacobian_pos=jac)
     return gd
@@ -298,7 +299,7 @@ class TestUpdateParity:
         for i in range(3000):
             mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
             scale = [0.05, 1.0, 10.0, 40.0][i % 4]
-            state = EstimatorState(mean, random_prior(rng, scale))
+            state = belief(mean, random_prior(rng, scale))
             agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
             truth = mean[:2] + rng.normal(0, scale, 2)
             if h_rtt(truth, agent) < 1e-3:
@@ -331,10 +332,10 @@ class TestUpdateParity:
         cfg = make_filter_config(kind, 1.5, math.radians(2.0))
         rng = np.random.default_rng(23)
         for i in range(400):
-            state = EstimatorState(np.array([50.0, 50.0, 0.0, float(rng.normal(0, 0.01))]),
+            state = belief(np.array([50.0, 50.0, 0.0, float(rng.normal(0, 0.01))]),
                                    random_prior(rng, 2.0))
             agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
-            pred = h_aoa(state.mean[:2], agent) + state.mean[3]
+            pred = h_aoa(mean_of(state)[:2], agent) + mean_of(state)[3]
             eps = float(rng.choice([-1e-9, 1e-12, 1e-6, -1e-3]))
             value = wrap_angle(pred + (math.pi if i % 2 else -math.pi) + eps)
             assert_update_parity(state, Measurement(Modality.AOA, value, agent), cfg)
@@ -359,7 +360,7 @@ def update_outcome(fn, state, z, cfg):
     jac = diag.jacobian_pos
     if isinstance(jac, np.ndarray):
         jac = tuple(jac.tolist())
-    return post.mean.tolist(), post.cov.tolist(), diag._replace(jacobian_pos=jac)
+    return mean_of(post).tolist(), cov_of(post).tolist(), diag._replace(jacobian_pos=jac)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -383,7 +384,7 @@ def test_update_bit_identical_to_float_reference(kind, rounds, a, log_sd, pos, o
     m = np.array(a).reshape(4, 4)
     sd = 10.0 ** np.array(log_sd)
     prior = (m @ m.T + 1e-3 * np.eye(4)) * np.outer(sd, sd)
-    state = EstimatorState(np.array([*pos, *offsets]), 0.5 * (prior + prior.T))
+    state = belief(np.array([*pos, *offsets]), 0.5 * (prior + prior.T))
     what, value = measurement
     if what == "rtt":
         z = Measurement(Modality.RTT, value, agent)
@@ -411,10 +412,10 @@ def test_numpy_scalar_noise_scales_give_the_float_bits(kind):
     assert from_numpy == from_float
     for i in range(200):
         mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])
-        state = EstimatorState(mean, random_prior(rng, [1.0, 10.0][i % 2]))
+        state = belief(mean, random_prior(rng, [1.0, 10.0][i % 2]))
         agent = tuple(float(v) for v in rng.uniform(0, 100, 2))
-        value = (h_rtt(state.mean[:2], agent) + float(rng.normal(0, 5)) if i % 2 == 0
-                 else wrap_angle(h_aoa(state.mean[:2], agent) + float(rng.normal(0, 0.2))))
+        value = (h_rtt(mean_of(state)[:2], agent) + float(rng.normal(0, 5)) if i % 2 == 0
+                 else wrap_angle(h_aoa(mean_of(state)[:2], agent) + float(rng.normal(0, 0.2))))
         z = Measurement(Modality.AOA if i % 2 else Modality.RTT, value, agent)
         got = update_outcome(update, state, z, from_numpy)
         assert got == update_outcome(update, state, z, from_float)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymloc.losses import (LossFamily, LossSpec, NoNlosEvidenceError,
-                            WrongLossFamilyError, at_curvature_kink, em_update_lambda,
+                            WrongLossFamilyError, em_update_lambda,
                             irls_weight, k_from_lambda, lambda_from_k, loss,
                             loss_curvature, loss_grad, soft_threshold_bias)
 
@@ -50,6 +50,15 @@ class TestLossSpec:
 
     def test_quadratic_has_no_threshold(self):
         assert QUAD.tau is None
+
+    def test_tau_is_derived_not_an_argument(self):
+        # tau follows from the family and its parameters; a tau passed in
+        # would report a threshold the spec never applies
+        for family, kwargs in ((LossFamily.QUADRATIC, {}), (LossFamily.SYMMETRIC, {"k": 1.0}),
+                               (LossFamily.ONE_SIDED, {"lam": 1.0})):
+            with pytest.raises(TypeError):
+                LossSpec(family, 1.0, tau=5.0, **kwargs)
+        assert LossSpec(LossFamily.QUADRATIC, 1.0).tau is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,10 +184,11 @@ class TestLossCurvature:
         assert loss_curvature(0.5, SYM) == 1.0
 
     def test_kink_returns_left_limit_with_flag(self):
-        assert loss_curvature(ONE.tau, ONE) == 1.0
-        assert at_curvature_kink(ONE.tau, ONE)
-        assert not at_curvature_kink(0.99 * ONE.tau, ONE)
-        assert at_curvature_kink(-SYM.tau, SYM)
+        # the threshold itself is unsaturated, the next float beyond it is
+        for spec, edge in ((ONE, ONE.tau), (SYM, -SYM.tau)):
+            beyond = math.nextafter(edge, math.copysign(math.inf, edge))
+            assert not spec.saturates(edge) and spec.saturates(beyond)
+            assert loss_curvature(edge, spec) == 1.0 and loss_curvature(beyond, spec) == 0.0
 
 
 class TestIrlsWeight:
@@ -271,7 +281,6 @@ class TestSaturationRuleProperties:
             edge = side * spec.tau
             beyond = math.nextafter(edge, side * math.inf)
             assert not spec.saturates(edge) and spec.saturates(beyond)
-            assert at_curvature_kink(edge, spec)
             assert loss(beyond, spec) == pytest.approx(loss(edge, spec), rel=1e-9)
             assert loss_grad(beyond, spec) == pytest.approx(loss_grad(edge, spec), rel=1e-9)
 
@@ -316,10 +325,6 @@ def ref_loss_curvature(r, spec):
     return 0.0 if ref_saturates(r, spec) else 1.0 / spec.sigma**2
 
 
-# a quadratic spec keeps a tau passed to the constructor, which never saturates it
-STRAY_TAU = st.builds(lambda s, t: LossSpec(LossFamily.QUADRATIC, s, tau=t), SIGMAS, KS)
-
-
 def edge_residuals(spec):
     """Signed zeros, infinities, NaN, and +-tau with both float neighbours."""
     out = [0.0, -0.0, math.inf, -math.inf, math.nan]
@@ -343,7 +348,7 @@ class TestSaturationInterval:
             LossSpec(LossFamily.QUADRATIC, 1.0, lo=-1.0)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(spec=SPECS | STRAY_TAU,
+    @given(spec=SPECS,
            r=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_interval_rule_equals_the_per_family_rule(self, spec, r):
         for x in [r, *edge_residuals(spec)]:

@@ -7,20 +7,21 @@ from asymloc.geometry import h_rtt, linearize
 from asymloc.losses import LossSpec, loss
 from asymloc.observability import (CurvatureSample, SlidingCurvatureTracker, accumulate,
                                    classify_residual, crossing_improves, eig_sym)
+from arrays import matrix_of
 
 RTT = LossSpec.one_sided(sigma=1.0, lam=1.0)
 SYM = LossSpec.symmetric(sigma=1.0, k=1.0)
 
 
-def sample(jx, jy, weight, step=0):
-    return CurvatureSample(np.array([jx, jy], dtype=float), weight, weight == 0.0, step)
+def sample(jx, jy, weight):
+    return CurvatureSample(np.array([jx, jy], dtype=float), weight, weight == 0.0)
 
 
 class TestAccumulate:
     def test_all_saturated_gives_zero_matrix(self):
         samples = [sample(1.0, 0.0, 0.0), sample(0.5, 0.5, 0.0), sample(0.0, 1.0, 0.0)]
         rep = accumulate(samples)
-        np.testing.assert_array_equal(rep.matrix, np.zeros((2, 2)))
+        np.testing.assert_array_equal(matrix_of(rep), np.zeros((2, 2)))
         assert rep.lambda_min == 0.0
         assert rep.n_saturated == 3 and rep.n_active == 0
         assert not rep.bilateral
@@ -32,7 +33,7 @@ class TestAccumulate:
     def test_orthogonal_unit_jacobians(self):
         w = 1.0 / 1.5**2
         rep = accumulate([sample(1.0, 0.0, w), sample(0.0, 1.0, w)], mu_threshold=1e-3 * w)
-        np.testing.assert_allclose(rep.matrix, np.diag([w, w]), atol=1e-15)
+        np.testing.assert_allclose(matrix_of(rep), np.diag([w, w]), atol=1e-15)
         assert rep.lambda_min == pytest.approx(w, rel=1e-12)
         assert rep.bilateral
 
@@ -42,14 +43,12 @@ class TestAccumulate:
         assert rep.lambda_min == pytest.approx(0.0, abs=1e-12)
         assert rep.lambda_max == pytest.approx(2.0 * (j @ j), rel=1e-12)
 
-    def test_matrix_is_built_from_entries(self):
+    def test_entries_sum_the_rank_one_terms(self):
         rep = accumulate([sample(1.0, 2.0, 0.5), sample(-3.0, 0.25, 2.0), sample(1.0, 1.0, 0.0)])
         a, b, c = rep.entries
         assert (a, b, c) == (0.5 + 18.0, 1.0 - 1.5, 2.0 + 0.125)
-        np.testing.assert_array_equal(rep.matrix, [[a, b], [b, c]])
         after, _ = crossing_improves(rep, sample(0.0, 1.0, 1.0))
         assert after.entries == (a, b, c + 1.0)
-        np.testing.assert_array_equal(after.matrix, [[a, b], [b, c + 1.0]])
 
     def test_matches_numpy_eigvalsh(self):
         rng = np.random.default_rng(2)
@@ -57,7 +56,7 @@ class TestAccumulate:
             samples = [sample(*rng.normal(0, 2, 2), float(rng.uniform(0, 3)))
                        for _ in range(rng.integers(1, 8))]
             rep = accumulate(samples)
-            ev = np.linalg.eigvalsh(rep.matrix)
+            ev = np.linalg.eigvalsh(matrix_of(rep))
             assert rep.lambda_min == pytest.approx(max(ev[0], 0.0), abs=1e-10)
             assert rep.lambda_max == pytest.approx(ev[1], rel=1e-10, abs=1e-12)
 
@@ -73,7 +72,7 @@ class TestCrossingImproves:
         before = accumulate([sample(1.0, 0.0, 1.0), sample(0.0, 1.0, 0.5)])
         after, gain = crossing_improves(before, sample(0.3, 0.9, 0.0))
         assert gain == 0.0
-        np.testing.assert_array_equal(after.matrix, before.matrix)
+        assert after.entries == before.entries
         assert after.n_saturated == before.n_saturated + 1
 
     def test_monotonicity_random(self):
@@ -97,7 +96,7 @@ class TestCrossingImproves:
             before = accumulate(base)
             if before.lambda_max - before.lambda_min < 1e-9:
                 continue  # isotropic spectrum has no unique weak direction
-            evals, evecs = np.linalg.eigh(before.matrix)
+            evals, evecs = np.linalg.eigh(matrix_of(before))
             v_min = evecs[:, 0]
             angle = float(rng.uniform(-np.deg2rad(80), np.deg2rad(80)))
             c, s = math.cos(angle), math.sin(angle)
@@ -110,8 +109,8 @@ class TestCrossingImproves:
 
 class TestClassifyResidual:
     def test_one_sided_saturation(self):
-        s = classify_residual(2 * RTT.tau, RTT, np.array([1.0, 0.0]), step=3)
-        assert s.saturated and s.weight == 0.0 and s.step == 3
+        s = classify_residual(2 * RTT.tau, RTT, np.array([1.0, 0.0]))
+        assert s.saturated and s.weight == 0.0
 
     def test_negative_residual_always_active(self):
         s = classify_residual(-5.0, RTT, np.array([1.0, 0.0]))
@@ -166,7 +165,7 @@ class TestGaussNewtonAgainstFiniteDifferences:
                 ej = np.zeros(2); ej[j] = h
                 hess[i, j] = (total_loss(truth + ei + ej) - total_loss(truth + ei - ej)
                               - total_loss(truth - ei + ej) + total_loss(truth - ei - ej)) / (4 * h * h)
-        np.testing.assert_allclose(rep.matrix, hess, rtol=0.05)
+        np.testing.assert_allclose(matrix_of(rep), hess, rtol=0.05)
 
 
 class TestSlidingTracker:
@@ -174,8 +173,8 @@ class TestSlidingTracker:
         rng = np.random.default_rng(41)
         tracker = SlidingCurvatureTracker(window=5)
         history = []
-        for step in range(40):
-            s = sample(*rng.normal(0, 1, 2), float(rng.choice([0.0, 1.0, 0.5])), step)
+        for _ in range(40):
+            s = sample(*rng.normal(0, 1, 2), float(rng.choice([0.0, 1.0, 0.5])))
             history.append(s)
             tracker.add(s)
             batch = accumulate(history[-5:])

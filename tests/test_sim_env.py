@@ -41,7 +41,8 @@ class TestRectAndSegments:
             b = rng.uniform(0, 100, 2)
             ts = np.linspace(0.0, 1.0, 400)
             pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-            sampled_hit = any(rect.contains(x, y) for x, y in pts)
+            sampled_hit = bool(np.any((np.abs(pts[:, 0] - rect.cx) <= rect.half_width)
+                                      & (np.abs(pts[:, 1] - rect.cy) <= rect.half_height)))
             clipped_hit = segment_intersects_rect(a, b, rect)
             if sampled_hit:
                 assert clipped_hit
