@@ -155,9 +155,7 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
     filt = RobustEkf(filter_cfg, guess)
     noise = {Modality.RTT: filter_cfg.rtt_loss.sigma, Modality.AOA: filter_cfg.aoa_loss.sigma}
     planner = make_planner(planner_kind, planner_cfg, noise)
-    # scale-relative floor for the bilateral flag
-    tracker = SlidingCurvatureTracker(window=ERCM_WINDOW,
-                                      mu_threshold=1e-3 / filter_cfg.rtt_loss.sigma**2)
+    tracker = SlidingCurvatureTracker(ERCM_WINDOW)
 
     # per-step values as floats; the arrays are built once, after the loop
     est_x, est_y, bias_r, bias_theta = [], [], [], []
@@ -213,6 +211,15 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
                      n_clamped=n_clamped, aborted_at=aborted_at, abort_reason=abort_reason)
 
 
+def _live_mean(x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
+    """``np.nanmean(x, axis)`` with its bits, but NaN with no warning where
+    every value is NaN (a step every run aborted before)."""
+    live = ~np.isnan(x)
+    total = np.where(live, x, 0.0).sum(axis=axis)
+    count = live.sum(axis=axis)
+    return np.divide(total, count, out=np.full(np.shape(total), math.nan), where=count > 0)
+
+
 def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:
     """Reduce an ensemble of runs to the cell metrics.
 
@@ -224,7 +231,7 @@ def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:
     if len(runs) == 0:
         raise ValueError("need at least one run")
     err = np.stack([r.errors for r in runs])
-    rmse = np.sqrt(np.nanmean(err * err, axis=0))
+    rmse = np.sqrt(_live_mean(err * err, axis=0))
     # a step every run aborted before has a NaN RMSE: not settled
     above = ~(rmse <= threshold)
     if not above.any():
@@ -238,11 +245,11 @@ def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:
         rmse_series=rmse,
         steps_to_threshold=settle,
         final_rmse=float(rmse[-1]),
-        mean_cost_per_step=float(np.nanmean(cost)),
-        cost_series=np.nanmean(cost, axis=0),
-        bias_r_series=np.nanmean(np.stack([r.bias_r for r in runs]), axis=0),
-        bias_theta_series=np.nanmean(np.stack([r.bias_theta for r in runs]), axis=0),
-        ercm_lambda_min_series=np.nanmean(np.stack([r.lambda_min for r in runs]), axis=0),
+        mean_cost_per_step=float(_live_mean(cost)),
+        cost_series=_live_mean(cost, axis=0),
+        bias_r_series=_live_mean(np.stack([r.bias_r for r in runs]), axis=0),
+        bias_theta_series=_live_mean(np.stack([r.bias_theta for r in runs]), axis=0),
+        ercm_lambda_min_series=_live_mean(np.stack([r.lambda_min for r in runs]), axis=0),
         threshold=threshold,
         n_runs=len(runs),
     )
@@ -262,7 +269,7 @@ class CellResult:
     @property
     def live_runs(self) -> list[int]:
         """Per step, the number of runs not yet aborted: the runs that each
-        step of the metrics' series averages over (``nanmean`` skips the
+        step of the metrics' series averages over (the mean skips the
         aborted ones)."""
         ends = [len(r.errors) if r.aborted_at is None else r.aborted_at for r in self.runs]
         return [sum(t < end for end in ends) for t in range(len(self.runs[0].errors))]

@@ -155,9 +155,8 @@ def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     """Time update for the static-target model: mean unchanged, covariance
     grows by ``process_noise * I``."""
     q, p = process_noise, state.p
-    if q > 0.0:
-        p = (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5], p[6], p[7] + q, p[8], p[9] + q)
-    return EstimatorState(state.m, p)
+    return EstimatorState(state.m, (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5], p[6], p[7] + q,
+                                    p[8], p[9] + q))
 
 
 class FilterDivergenceError(ArithmeticError):

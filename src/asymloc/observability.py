@@ -4,17 +4,17 @@ Each measurement contributes a rank-one term ``w * J J^T`` to a 2x2
 curvature matrix over the position, where ``w`` is the loss's second
 derivative at the residual and ``J`` the position Jacobian. Saturated
 residuals carry zero curvature, so the matrix tracks exactly the geometric
-information the robust objective can still "see": its minimum eigenvalue
-is the diagnostic for estimator stagnation, and a sample set is *bilateral*
-when that eigenvalue clears a threshold (the Jacobians of non-saturated
-samples span the plane).
+information the robust objective can still "see": its minimum eigenvalue,
+exported per step as ``ercm_lambda_min``, is the diagnostic for estimator
+stagnation, and a window is *bilateral* (the Jacobians of non-saturated
+samples span the plane) when ``lambda_min > mu`` for a threshold ``mu``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import math
 
@@ -34,14 +34,11 @@ class CurvatureSample(NamedTuple):
 @dataclass(frozen=True)
 class CurvatureReport:
     """Accumulated 2x2 curvature matrix ``[[a, b], [b, c]]``, held as its
-    entries ``(a, b, c)``, with its spectrum and bookkeeping."""
+    entries ``(a, b, c)``, with its spectrum."""
 
     entries: tuple[float, float, float]
     lambda_min: float
     lambda_max: float
-    bilateral: bool
-    n_saturated: int
-    n_active: int
 
 
 def eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
@@ -58,45 +55,36 @@ def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float]) -> Cu
     return tuple.__new__(CurvatureSample, (jacobian, w, w == 0.0))
 
 
-def _report_from(a: float, b: float, c: float, n_saturated: int, n_active: int,
-                 mu_threshold: float) -> CurvatureReport:
+def _report_from(a: float, b: float, c: float) -> CurvatureReport:
     """Report on the curvature matrix ``[[a, b], [b, c]]``."""
     lmin, lmax = eig_sym(a, b, c)
-    lmin = max(lmin, 0.0)  # PSD by construction; clip fp dust
-    lmax = max(lmax, 0.0)
-    return CurvatureReport(entries=(a, b, c), lambda_min=lmin, lambda_max=lmax,
-                           bilateral=lmin > mu_threshold,
-                           n_saturated=n_saturated, n_active=n_active)
+    # PSD by construction; clip fp dust
+    return CurvatureReport((a, b, c), max(lmin, 0.0), max(lmax, 0.0))
 
 
-def _curvature_term(sample: CurvatureSample) -> Optional[tuple[float, float, float]]:
+def _curvature_term(sample: CurvatureSample) -> tuple[float, float, float]:
     """The entries ``(xx, xy, yy)`` of the sample's rank-one term
-    ``w * J J^T``, or ``None`` when it carries no curvature (saturated or
-    zero weight)."""
-    if sample.saturated or sample.weight == 0.0:
-        return None
+    ``w * J J^T``. A saturated sample's are ``±0.0``, which leave the bits of
+    any sum that starts at ``+0.0`` as they are (such a sum is never ``-0.0``)."""
     j0, j1 = sample.jacobian
     w = sample.weight
     return w * (j0 * j0), w * (j0 * j1), w * (j1 * j1)
 
 
-def accumulate(samples: Iterable[CurvatureSample],
-               mu_threshold: float = 0.0) -> CurvatureReport:
+def accumulate(samples: Iterable[CurvatureSample]) -> CurvatureReport:
     """Sum ``w * J J^T`` over samples and report the spectrum.
 
     An empty or all-saturated sample set yields the zero matrix with
     ``lambda_min = 0``: no usable curvature anywhere in the plane.
     """
-    terms = [_curvature_term(s) for s in samples]
-    active = [term for term in terms if term is not None]
     a = b = c = 0.0
-    for ta, tb, tc in active:
+    for ta, tb, tc in map(_curvature_term, samples):
         a, b, c = a + ta, b + tb, c + tc
-    return _report_from(a, b, c, len(terms) - len(active), len(active), mu_threshold)
+    return _report_from(a, b, c)
 
 
-def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
-                      mu_threshold: float = 0.0) -> tuple[CurvatureReport, float]:
+def crossing_improves(before: CurvatureReport,
+                      new_sample: CurvatureSample) -> tuple[CurvatureReport, float]:
     """Fold one new sample into a report and return the minimum-eigenvalue
     gain, which is never negative (eigenvalues of a sum of PSD matrices
     dominate the smaller summand's).
@@ -106,13 +94,8 @@ def crossing_improves(before: CurvatureReport, new_sample: CurvatureSample,
     minimum eigenvector -- the geometric payoff of a crossing maneuver.
     """
     a, b, c = before.entries
-    term = _curvature_term(new_sample)
-    if term is not None:
-        a += term[0]
-        b += term[1]
-        c += term[2]
-    after = _report_from(a, b, c, before.n_saturated + (term is None),
-                         before.n_active + (term is not None), mu_threshold)
+    ta, tb, tc = _curvature_term(new_sample)
+    after = _report_from(a + ta, b + tb, c + tc)
     return after, after.lambda_min - before.lambda_min
 
 
@@ -126,36 +109,24 @@ class SlidingCurvatureTracker:
     expired term is subtracted exactly as it was added.
     """
 
-    def __init__(self, window: int = 30, mu_threshold: float = 0.0):
+    def __init__(self, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.mu_threshold = mu_threshold
-        self._terms: deque[Optional[tuple[float, float, float]]] = deque()
+        self._terms: deque[tuple[float, float, float]] = deque()
         self._a = self._b = self._c = 0.0  # running [[a, b], [b, c]]
-        self._n_sat = 0
 
     def add(self, sample: CurvatureSample) -> None:
         term = _curvature_term(sample)
         self._terms.append(term)
-        if term is None:
-            self._n_sat += 1
-        else:
-            self._a += term[0]
-            self._b += term[1]
-            self._c += term[2]
+        self._a += term[0]
+        self._b += term[1]
+        self._c += term[2]
         if len(self._terms) > self.window:
             old = self._terms.popleft()
-            if old is None:
-                self._n_sat -= 1
-            else:
-                self._a -= old[0]
-                self._b -= old[1]
-                self._c -= old[2]
-
-    def report(self) -> CurvatureReport:
-        n_act = len(self._terms) - self._n_sat
-        return _report_from(self._a, self._b, self._c, self._n_sat, n_act, self.mu_threshold)
+            self._a -= old[0]
+            self._b -= old[1]
+            self._c -= old[2]
 
     def lambda_min(self) -> float:
         lmin, _ = eig_sym(self._a, self._b, self._c)

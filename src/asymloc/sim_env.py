@@ -184,22 +184,16 @@ def observe_with_draw(scenario: Scenario, agent, draws: tuple,
             tuple.__new__(Measurement, (Modality.AOA, y_aoa, agent, step)), draw, clamped)
 
 
-def _canonical(sigma_r: float) -> Scenario:
-    return Scenario(sigma_r=sigma_r)
-
-
 PRESETS = {
-    "canonical_low": lambda: _canonical(0.5),
-    "canonical_medium": lambda: _canonical(1.5),
-    "canonical_high": lambda: _canonical(2.5),
-    "obstacle": lambda: Scenario(sigma_r=1.5,
-                                 obstacle=Rect(50.0, 35.0, 25.0, 8.0),
-                                 p_nlos_clear=0.1),
+    "canonical_low": Scenario(sigma_r=0.5),
+    "canonical_medium": Scenario(sigma_r=1.5),
+    "canonical_high": Scenario(sigma_r=2.5),
+    "obstacle": Scenario(sigma_r=1.5, obstacle=Rect(50.0, 35.0, 25.0, 8.0), p_nlos_clear=0.1),
 }
 
 
 def get_preset(name: str) -> Scenario:
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None

@@ -95,19 +95,26 @@ class TestAggregate:
         assert cell.metrics.rmse_series[1] == 3.0
         assert cell.live_runs == [2, 1, 1]
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_a_step_every_run_aborted_before_is_not_settled(self):
-        # both runs abort at step 4, 9 m off: from there the RMSE is NaN,
-        # which is not at or below the threshold, so the cell never settles
+        # both runs abort at step 4, 9 m off: from there every series is NaN
+        # (with no warning), and a NaN RMSE is not at or below the
+        # threshold, so the cell never settles
         runs = []
         for _ in range(2):
             run = make_run([9.0] * 4 + [math.nan] * 6)
+            for series in (run.bias_r, run.bias_theta, run.lambda_min, run.planner_cost):
+                series[4:] = math.nan
             run.aborted_at = 4
             runs.append(run)
         m = aggregate(runs, threshold=2.5)
         assert math.isnan(m.final_rmse)
         assert m.steps_to_threshold is None
         assert summary_fields("proposed (passive)", m)[2] == "none"
+        for series in (m.rmse_series, m.cost_series, m.bias_r_series, m.bias_theta_series,
+                       m.ercm_lambda_min_series):
+            assert np.isnan(series[4:]).all() and not np.isnan(series[:4]).any()
+        assert m.mean_cost_per_step == 0.0
 
     def test_live_runs_without_aborts(self):
         runs = [make_run([1.0, 2.0]), make_run([3.0, 4.0]), make_run([5.0, 6.0])]
