@@ -23,7 +23,6 @@ from . import knobs
 from .config import SCHEMA, ConfigError, ExperimentConfig, dump_config, parse_config
 from .experiment import (format_table, run_grid, summary_rows, sweep, sweep_rows,
                          write_cell_csv, write_summary_csv, write_sweep_csv)
-from .sim_env import PRESETS
 
 
 def _add_key_flags(p: argparse.ArgumentParser, section: str) -> None:
@@ -35,8 +34,6 @@ def _add_key_flags(p: argparse.ArgumentParser, section: str) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="INI config file (flags override its keys)")
-    p.add_argument("--preset", dest="experiment.preset", choices=sorted(PRESETS),
-                   help="scenario preset (required unless --config provides one)")
     _add_key_flags(p, "experiment")
     p.add_argument("--no-timing", dest="experiment.timing", action="store_const", const="false",
                    help="write planner-cost columns as 0.0 so output bytes are fully reproducible")
@@ -93,8 +90,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = _output_dir(cfg)
     rows = sweep(cfg.sweep.parameter, cfg.sweep.values, cfg)
     path = out / f"sweep_{cfg.sweep.parameter}.csv"
-    write_sweep_csv(path, rows, seed=cfg.scenario.seed, preset=cfg.preset, timing=cfg.timing)
-    print(format_table(*sweep_rows(rows, cfg.timing)))
+    write_sweep_csv(path, cfg.sweep.parameter, rows, seed=cfg.scenario.seed, preset=cfg.preset,
+                    timing=cfg.timing)
+    print(format_table(*sweep_rows(cfg.sweep.parameter, rows, cfg.timing)))
     return 0
 
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import knobs
-from .experiment import SWEEP_PARAMETERS, GridSpec, _apply_sweep_value
+from .experiment import SWEEP_PARAMETERS, GridSpec, _swept
 from .filters import FilterParams
 from .planners import PlannerConfig
-from .sim_env import PRESETS, Scenario, get_preset
+from .sim_env import PRESETS, Scenario
 
 
 class ConfigError(ValueError):
@@ -45,15 +45,25 @@ class SweepSpec:
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(GridSpec):
     """Fully resolved experiment: the grid (its scenario carries seed and
-    steps) plus the preset it started from and where its output goes."""
+    steps) plus the preset it started from and where its output goes. Every
+    sweep value must fit the knob it sweeps (:class:`ConfigError`)."""
 
-    preset: str
+    preset: str = knobs.knob(section="experiment", kind="name", choices=tuple(sorted(PRESETS)))
     out_dir: str = knobs.knob("results", "experiment", key="out")
     timing: bool = knobs.knob(True, "experiment")
     sweep: Optional[SweepSpec] = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        # every sweep value must fit its target knob before the first one runs
+        for v in self.sweep.values if self.sweep is not None else ():
+            try:
+                _swept(self, self.sweep.parameter, v)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from None
 
-# (section, key) -> (owning dataclass, field); experiment.preset is read apart
+
+# (section, key) -> (owning dataclass, field)
 SCHEMA = {(f.metadata["section"], knobs.key(f)): (cls, f)
           for cls in (ExperimentConfig, Scenario, FilterParams, PlannerConfig, SweepSpec)
           for f in knobs.config_fields(cls)}
@@ -85,8 +95,7 @@ def parse_config(text: str,
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]; expected one of {_SECTIONS}")
-    preset = cp.get("experiment", "preset", fallback=None)
-    if preset is None:
+    if not cp.has_option("experiment", "preset"):
         others = ",".join(k for s, k in SCHEMA if s == "experiment")
         raise ConfigError(
             f"missing required key experiment.preset (one of {sorted(PRESETS)}); other accepted "
@@ -95,8 +104,6 @@ def parse_config(text: str,
     given: dict[type, dict] = {cls: {} for cls, _ in SCHEMA.values()}
     for section in cp.sections():
         for key, raw in cp.items(section):
-            if (section, key) == ("experiment", "preset"):
-                continue
             if (section, key) not in SCHEMA:
                 raise ConfigError(f"unknown key {section}.{key}")
             cls, f = SCHEMA[section, key]
@@ -106,9 +113,8 @@ def parse_config(text: str,
                 raise ConfigError(f"{section}.{key}: {exc}") from None
 
     try:
-        scenario = dataclasses.replace(get_preset(preset), **given[Scenario])
-    except KeyError as exc:
-        raise ConfigError(f"experiment.preset: {exc.args[0]}") from None
+        scenario = dataclasses.replace(PRESETS[given[ExperimentConfig]["preset"]],
+                                       **given[Scenario])
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
     sweep = None
@@ -117,17 +123,9 @@ def parse_config(text: str,
             if f.name not in given[SweepSpec]:
                 raise ConfigError(f"missing required key sweep.{knobs.key(f)}")
         sweep = SweepSpec(**given[SweepSpec])
-    cfg = ExperimentConfig(preset=preset, scenario=scenario,
-                           filter_params=FilterParams(**given[FilterParams]),
-                           planner_cfg=PlannerConfig(arena=scenario.arena, **given[PlannerConfig]),
-                           sweep=sweep, **given[ExperimentConfig])
-    # every sweep value must fit its target knob before the first one runs
-    for v in sweep.values if sweep is not None else ():
-        try:
-            _apply_sweep_value(cfg, sweep.parameter, v)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.values: {exc}") from None
-    return cfg
+    return ExperimentConfig(scenario=scenario, filter_params=FilterParams(**given[FilterParams]),
+                            planner_cfg=PlannerConfig(arena=scenario.arena, **given[PlannerConfig]),
+                            sweep=sweep, **given[ExperimentConfig])
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
@@ -136,7 +134,6 @@ def dump_config(cfg: ExperimentConfig) -> str:
     Round-trips exactly: ``parse_config(dump_config(cfg)) == cfg``.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    cp["experiment"] = {"preset": cfg.preset}
     for part in (cfg, cfg.scenario, cfg.filter_params, cfg.planner_cfg, cfg.sweep):
         for f in knobs.config_fields(part) if part is not None else ():
             section = f.metadata["section"]

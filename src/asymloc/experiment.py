@@ -119,26 +119,24 @@ class World:
         while len(self.draws) <= step:
             self.draws.append(channel_draws(self.rng))
         try:
-            obs = observe_with_draw(self.scenario, pose, self.draws[step], step)
+            obs = observe_with_draw(self.scenario, pose, self.draws[step])
         except CoincidentPointsError:
             obs = None
         self.memo.setdefault(step, (pose, obs))
         return obs
 
 
-def run_single(scenario: Scenario, filter_cfg: FilterConfig, planner_kind: str,
-               planner_cfg: PlannerConfig, run_seed: int,
-               world: Optional[World] = None) -> RunResult:
-    """Execute one closed-loop run, deterministic for a given seed.
+def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
+               planner_cfg: PlannerConfig) -> RunResult:
+    """Execute one closed-loop run of ``world.scenario``, observed through
+    the world's seeded draws, so deterministic for a given run seed.
 
     Step order: observe at the current pose, filter predict, range update,
     bearing update, then the (timed) planner decision and the move.
-    ``world``: the run's :class:`World` when runs share one (default: its own).
-    ``planner_cfg.arena`` must equal ``scenario.arena`` (``ValueError``).
+    ``planner_cfg.arena`` must equal the scenario's arena (``ValueError``).
     """
+    scenario = world.scenario
     _check_arena(scenario, planner_cfg)
-    if world is None:
-        world = World(scenario, run_seed)
     steps = scenario.steps
     tx, ty = float(scenario.truth[0]), float(scenario.truth[1])
     agent = (float(scenario.start[0]), float(scenario.start[1]))
@@ -220,7 +218,7 @@ def _live_mean(x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return np.divide(total, count, out=np.full(np.shape(total), math.nan), where=count > 0)
 
 
-def aggregate(runs: Sequence[RunResult], threshold: float = 2.5) -> RunMetrics:
+def aggregate(runs: Sequence[RunResult], threshold: float) -> RunMetrics:
     """Reduce an ensemble of runs to the cell metrics.
 
     ``rmse_series[t]`` is the root mean square of the per-run errors at t.
@@ -279,7 +277,7 @@ def _run_index(args) -> list[RunResult]:
     """One run index of every cell, in cell order, sharing one :class:`World`."""
     scenario, cells, planner_cfg, run_seed = args
     world = World(scenario, run_seed)
-    return [run_single(scenario, fcfg, p, planner_cfg, run_seed, world) for fcfg, p in cells]
+    return [run_single(world, fcfg, p, planner_cfg) for fcfg, p in cells]
 
 
 # the pool an enclosing _process_pool block opened, which every run_grid call
@@ -340,17 +338,17 @@ SWEEP_PARAMETERS = ("p_nlos", "mu_nlos", "eta", "k_rtt", "sigma_r")
 
 @dataclass(frozen=True)
 class SweepRow:
-    parameter: str
     value: float
     combination: str
     metrics: RunMetrics
 
 
-def _apply_sweep_value(grid: GridSpec, parameter: str, value: float) -> GridSpec:
+def _swept(grid: GridSpec, parameter: str, value: float) -> dict:
+    """The grid's sub-config that owns ``parameter``, by field name, with the
+    parameter set to ``value`` (``ValueError`` outside its knob's bounds)."""
     name = next(name for name in ("scenario", "planner_cfg", "filter_params")
                 if parameter in {f.name for f in config_fields(getattr(grid, name))})
-    part = getattr(grid, name)
-    return dataclasses.replace(grid, **{name: dataclasses.replace(part, **{parameter: value})})
+    return {name: dataclasses.replace(getattr(grid, name), **{parameter: value})}
 
 
 def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[SweepRow]:
@@ -365,12 +363,12 @@ def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[Sweep
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     values = [float(v) for v in values]
-    grids = [_apply_sweep_value(base, parameter, v) for v in values]
+    grids = [dataclasses.replace(base, **_swept(base, parameter, v)) for v in values]
     rows: list[SweepRow] = []
     with _process_pool(base.n_jobs) if base.n_jobs > 1 else contextlib.nullcontext():
         for v, grid in zip(values, grids):
             for cell in run_grid(grid).values():
-                rows.append(SweepRow(parameter, v, cell.combination, cell.metrics))
+                rows.append(SweepRow(v, cell.combination, cell.metrics))
     return rows
 
 
@@ -427,12 +425,12 @@ def summary_rows(cells: Iterable[CellResult],
             [summary_fields(c.combination, c.metrics, timing) for c in cells])
 
 
-def sweep_rows(rows: Sequence[SweepRow],
+def sweep_rows(parameter: str, rows: Sequence[SweepRow],
                timing: bool = True) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of the sweep CSV: ``parameter,value`` and then the
-    summary columns."""
+    """Header and rows of the sweep CSV of ``parameter``: ``parameter,value``
+    and then the summary columns."""
     return (["parameter", "value", *summary_header(rows[0].metrics.threshold)],
-            [[r.parameter, _fmt(r.value), *summary_fields(r.combination, r.metrics, timing)]
+            [[parameter, _fmt(r.value), *summary_fields(r.combination, r.metrics, timing)]
              for r in rows])
 
 
@@ -441,9 +439,9 @@ def write_summary_csv(path, cells: Iterable[CellResult], *, seed: int, preset: s
     _write_csv(path, *summary_rows(cells, timing), seed, preset)
 
 
-def write_sweep_csv(path, rows: Sequence[SweepRow], *, seed: int, preset: str,
+def write_sweep_csv(path, parameter: str, rows: Sequence[SweepRow], *, seed: int, preset: str,
                     timing: bool = True) -> None:
-    _write_csv(path, *sweep_rows(rows, timing), seed, preset)
+    _write_csv(path, *sweep_rows(parameter, rows, timing), seed, preset)
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -37,12 +37,11 @@ MIN_AOA_RANGE = 1.0
 
 
 class Measurement(NamedTuple):
-    """One timestamped observation from a known agent position ``(x, y)``."""
+    """One observation from a known agent position ``(x, y)``."""
 
     modality: Modality
     value: float
     agent: tuple[float, float]
-    step: int = 0
 
 
 class EstimatorState(NamedTuple):
@@ -239,7 +238,7 @@ def update(state: EstimatorState, z: Measurement,
                                     n22, n23, n33)))
             and min(n00, n11, n22, n33) > 0.0):
         raise FilterDivergenceError(
-            f"{modality.value} update at step {z.step} gave mean {[e0, e1, e2, e3]} "
+            f"{modality.value} update gave mean {[e0, e1, e2, e3]} "
             f"and variances {[n00, n11, n22, n33]}")
     new_state = EstimatorState((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
 

@@ -185,15 +185,12 @@ class FimPlanner:
 PLANNER_KINDS = ("passive", "reactive", "fim")
 
 
-def make_planner(kind: str, cfg: PlannerConfig,
-                 noise: Optional[Mapping[Modality, float]] = None):
+def make_planner(kind: str, cfg: PlannerConfig, noise: Mapping[Modality, float]):
     """Instantiate a planner by registry name (fresh state per run)."""
     if kind == "passive":
         return LawnmowerPlanner(cfg)
     if kind == "reactive":
         return ReactiveCrossingPlanner(cfg)
     if kind == "fim":
-        if noise is None:
-            raise ValueError("fim planner needs per-modality noise scales")
         return FimPlanner(cfg, noise)
     raise ValueError(f"unknown planner kind {kind!r}; expected one of {PLANNER_KINDS}")

@@ -160,8 +160,8 @@ def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
         scenario.sigma_r * z_r, scenario.sigma_theta_rad * z_theta, is_nlos_aoa))
 
 
-def observe_with_draw(scenario: Scenario, agent, draws: tuple,
-                      step: int = 0) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
+def observe_with_draw(scenario: Scenario, agent,
+                      draws: tuple) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
     """Generate the step's (range, bearing) measurement pair, taken from the
     agent position ``(x, y)`` (which the measurements keep as given), from
     the step's :func:`channel_draws`.
@@ -180,8 +180,8 @@ def observe_with_draw(scenario: Scenario, agent, draws: tuple,
         y_rtt = 0.0
     y_aoa = wrap_angle(true_bearing + scenario.delta_theta_rad + draw.b_theta + draw.eps_theta)
 
-    return (tuple.__new__(Measurement, (Modality.RTT, y_rtt, agent, step)),
-            tuple.__new__(Measurement, (Modality.AOA, y_aoa, agent, step)), draw, clamped)
+    return (tuple.__new__(Measurement, (Modality.RTT, y_rtt, agent)),
+            tuple.__new__(Measurement, (Modality.AOA, y_aoa, agent)), draw, clamped)
 
 
 PRESETS = {

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from asymloc.cli import main as cli_main
-from asymloc.experiment import GridSpec, run_grid, run_single
+from asymloc.experiment import GridSpec, World, run_grid, run_single
 from asymloc.filters import Measurement, init_state, make_filter_config, predict, update
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, k_from_lambda, lambda_from_k, loss, loss_grad
@@ -384,7 +384,7 @@ def test_criterion_09_reduction_sanity():
     sc = Scenario(p_nlos=0.0, sigma_r=1e-9, sigma_theta_deg=1e-9,
                   delta_r=0.0, delta_theta_deg=0.0, steps=40)
     fc = make_filter_config("ekf", sc.sigma_r, sc.sigma_theta_rad)
-    res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=0)
+    res = run_single(World(sc, 0), fc, "reactive", PlannerConfig(arena=sc.arena))
     converged = bool((res.errors[29:] < 0.01).all())
     ok = worst <= 1e-9 and converged
     report(9, "reduction sanity", ok,

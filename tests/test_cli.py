@@ -95,6 +95,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"sweep\.values: eta"):
             parse_config(MINIMAL + "[sweep]\nparameter = eta\nvalues = 3,0\n")
 
+    # a config that is built only to be refused on replay breaks dump_config's round trip
+    def test_unknown_preset_refused_when_built(self):
+        with pytest.raises(ValueError, match="preset: unknown entry 'bogus'"):
+            ExperimentConfig(preset="bogus", scenario=get_preset("canonical_medium"))
+
+    def test_sweep_values_checked_when_built(self):
+        with pytest.raises(ValueError, match=r"sweep\.values: p_nlos: 2\.0 must be <= 1\.0"):
+            ExperimentConfig(preset="canonical_medium", scenario=get_preset("canonical_medium"),
+                             sweep=SweepSpec("p_nlos", (0.5, 2.0)))
+
     def test_round_trip(self):
         text = (MINIMAL + "seed = 3\nruns = 4\nsteps = 33\n"
                 "[scenario]\np_nlos = 0.35\nobstacle = 50,35,25,8\n"
@@ -160,6 +170,26 @@ class TestCliRun:
                        "--filters", "kalmanator", "--out", str(tmp_path))
         assert code == 2
         assert "kalmanator" in capsys.readouterr().err
+
+    def test_unknown_preset_flag_names_its_config_key(self, tmp_path, capsys):
+        code = run_cli("run", "--preset", "bogus", "--out", str(tmp_path))
+        assert code == 2
+        assert "experiment.preset: unknown entry 'bogus'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [("run",), ("sweep", "--parameter", "p_nlos",
+                                                 "--values", "0.2,0.7")])
+    def test_written_config_replays_the_experiment_exactly(self, tmp_path, argv):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run_cli(*argv, "--preset", "canonical_low", "--seed", "5", "--runs", "2",
+                       "--steps", "15", "--filters", "proposed,ekf",
+                       "--planners", "passive,fim", "--no-timing", "--out", str(first)) == 0
+        assert run_cli(argv[0], "--config", str(first / "config.ini"),
+                       "--out", str(replay)) == 0
+        written = sorted(p.name for p in first.glob("*.csv"))
+        assert written and written == sorted(p.name for p in replay.glob("*.csv"))
+        for name in written:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "exp.ini"
@@ -349,7 +379,7 @@ def experiment_configs(draw, preset):
         obstacle=st.none() | rect)))
     sweep = draw(st.none() | st.sampled_from(SWEEP_PARAMETERS).flatmap(sweep_specs))
     return ExperimentConfig(
-        preset=preset, scenario=scenario, sweep=sweep,
+        scenario=scenario, sweep=sweep,
         filter_params=FilterParams(**draw(knob_values(FilterParams))),
         planner_cfg=PlannerConfig(arena=arena, **draw(knob_values(PlannerConfig))),
         **draw(knob_values(ExperimentConfig)))

@@ -126,7 +126,7 @@ class TestRunSingle:
     def test_noise_free_converges_fast(self):
         sc = quiet_scenario()
         fc = make_filter_config("ekf", sc.sigma_r, sc.sigma_theta_rad)
-        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=0)
+        res = run_single(World(sc, 0), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at is None
         assert res.errors[29] < 0.01
         assert (res.errors[30:] < 0.01).all()
@@ -136,8 +136,8 @@ class TestRunSingle:
         sc = dataclasses.replace(sc, steps=50)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         pcfg = PlannerConfig(arena=sc.arena)
-        r1 = run_single(sc, fc, "fim", pcfg, run_seed=11)
-        r2 = run_single(sc, fc, "fim", pcfg, run_seed=11)
+        r1 = run_single(World(sc, 11), fc, "fim", pcfg)
+        r2 = run_single(World(sc, 11), fc, "fim", pcfg)
         assert np.array_equal(r1.errors, r2.errors)
         assert np.array_equal(r1.trajectory, r2.trajectory)
         assert np.array_equal(r1.bias_r, r2.bias_r)
@@ -147,7 +147,7 @@ class TestRunSingle:
         pcfg = PlannerConfig(arena=sc.arena)
         for planner in ("passive", "reactive", "fim"):
             fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-            res = run_single(sc, fc, planner, pcfg, run_seed=5)
+            res = run_single(World(sc, 5), fc, planner, pcfg)
             assert np.nanmin(res.trajectory) >= 0.0
             assert np.nanmax(res.trajectory) <= sc.arena
 
@@ -159,14 +159,14 @@ class TestRunSingle:
         costs = {}
         for planner in ("passive", "fim"):
             fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-            res = run_single(sc, fc, planner, pcfg, run_seed=1)
+            res = run_single(World(sc, 1), fc, planner, pcfg)
             costs[planner] = float(np.nanmean(res.planner_cost))
         assert costs["fim"] > 3.0 * costs["passive"]
 
     def test_lambda_min_series_recorded(self):
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=40)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=2)
+        res = run_single(World(sc, 2), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.lambda_min.shape == (40,)
         assert (res.lambda_min >= 0.0).all()
         assert res.lambda_min[10:].max() > 0.0
@@ -174,7 +174,7 @@ class TestRunSingle:
     def test_start_on_target_skips_the_first_observation(self):
         sc = quiet_scenario(truth=(30.0, 40.0), start=(30.0, 40.0), steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-        res = run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=3)
+        res = run_single(World(sc, 3), fc, "passive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at is None
         assert np.isfinite(res.errors).all()
         # no step-0 update: the belief still sits at the arena-centre guess
@@ -184,17 +184,17 @@ class TestRunSingle:
         # a NaN range at step k leaves a non-finite posterior: the run stops
         # there and its series are NaN from k on
         k = 7
-        observe = experiment.observe_with_draw
+        observe = World.observe
 
-        def nan_at_k(scenario, agent, rng, step):
-            m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
+        def nan_at_k(world, agent, step):
+            m_rtt, m_aoa, draw, clamped = observe(world, agent, step)
             if step == k:
                 m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
-        monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
+        monkeypatch.setattr(World, "observe", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
+        res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at == k
         assert res.abort_reason.startswith("FilterDivergenceError")
         assert np.isfinite(res.errors[:k]).all()
@@ -205,17 +205,17 @@ class TestRunSingle:
         # every per-step series, not only the errors, is finite up to the
         # abort step and NaN from it on; at k = 0 the NaN range also seeds
         # the belief, so nothing is recorded at all
-        observe = experiment.observe_with_draw
+        observe = World.observe
 
-        def nan_at_k(scenario, agent, rng, step):
-            m_rtt, m_aoa, draw, clamped = observe(scenario, agent, rng, step)
+        def nan_at_k(world, agent, step):
+            m_rtt, m_aoa, draw, clamped = observe(world, agent, step)
             if step == k:
                 m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
-        monkeypatch.setattr(experiment, "observe_with_draw", nan_at_k)
+        monkeypatch.setattr(World, "observe", nan_at_k)
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
-        res = run_single(sc, fc, "reactive", PlannerConfig(arena=sc.arena), run_seed=4)
+        res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at == k
         series = {name: getattr(res, name) for name in
                   ("errors", "bias_r", "bias_theta", "lambda_min", "planner_cost")}
@@ -236,7 +236,7 @@ class TestRunSingle:
         sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         with pytest.raises(ValueError, match="planner fault"):
-            run_single(sc, fc, "passive", PlannerConfig(arena=sc.arena), run_seed=0)
+            run_single(World(sc, 0), fc, "passive", PlannerConfig(arena=sc.arena))
 
 
 class TestWorld:
@@ -270,7 +270,7 @@ class TestWorld:
         world.observe(sc.start, 0)
         for pose in ((50.0, 10.0), (20.0, 70.0)):
             m_rtt, m_aoa, draw, _ = world.observe(pose, 0)
-            want = observe_with_draw(sc, pose, world.draws[0], 0)
+            want = observe_with_draw(sc, pose, world.draws[0])
             assert (m_rtt, m_aoa, draw) == want[:3]
         assert len(world.draws) == 1
 
@@ -312,7 +312,7 @@ class TestPositionalRecords:
         pred, _, j0, j1 = linearize((m0, m1), self.AGENT, is_aoa)
         spec = cfg.aoa_loss if is_aoa else cfg.rtt_loss
         r = wrap_angle(value - pred - m3) if is_aoa else value - pred - m2
-        _, diag = update(st, Measurement(modality, value, self.AGENT, 4), cfg)
+        _, diag = update(st, Measurement(modality, value, self.AGENT), cfg)
         return diag, spec, r, (j0, j1)
 
     def test_applied_range_update(self):
@@ -364,16 +364,16 @@ class TestPositionalRecords:
                            is_nlos_aoa=is_nlos_aoa)
         assert_same_record(sample_channel(sc, self.AGENT, draws), want)
 
-        m_rtt, m_aoa, draw, clamped = observe_with_draw(sc, self.AGENT, draws, 7)
+        m_rtt, m_aoa, draw, clamped = observe_with_draw(sc, self.AGENT, draws)
         assert_same_record(draw, want)
         assert not clamped
         y_rtt = h_rtt(sc.truth, self.AGENT) + sc.delta_r + want.b_r + want.eps_r
         y_aoa = wrap_angle(h_aoa(sc.truth, self.AGENT) + sc.delta_theta_rad + want.b_theta
                            + want.eps_theta)
         assert_same_record(m_rtt, Measurement(modality=Modality.RTT, value=y_rtt,
-                                              agent=self.AGENT, step=7))
+                                              agent=self.AGENT))
         assert_same_record(m_aoa, Measurement(modality=Modality.AOA, value=y_aoa,
-                                              agent=self.AGENT, step=7))
+                                              agent=self.AGENT))
 
 
 class TestGrid:
@@ -389,7 +389,7 @@ class TestGrid:
         for (f, p), cell in grids[0].items():
             fc = make_filter_config(f, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params)
             for i in range(grid.n_runs):
-                alone = run_single(sc, fc, p, grid.planner_cfg, run_seed=sc.seed + i)
+                alone = run_single(World(sc, sc.seed + i), fc, p, grid.planner_cfg)
                 for shared in (g[(f, p)].runs[i] for g in grids):
                     for name in ("errors", "bias_r", "bias_theta", "lambda_min", "trajectory"):
                         assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), \
@@ -406,7 +406,7 @@ class TestGrid:
             GridSpec(scenario=sc, planner_cfg=PlannerConfig())
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         with pytest.raises(ValueError, match=match):
-            run_single(sc, fc, "reactive", PlannerConfig(), run_seed=0)
+            run_single(World(sc, 0), fc, "reactive", PlannerConfig())
         assert GridSpec(scenario=sc).planner_cfg.arena == 200.0
         assert GridSpec(scenario=sc, planner_cfg=PlannerConfig(arena=200.0)).n_runs == 50
 
@@ -483,7 +483,6 @@ class TestSweep:
         rows = sweep("p_nlos", [0.1, 0.3, 0.5, 0.7, 0.9], self.BASE)
         assert len(rows) == 5 * 2
         assert {r.value for r in rows} == {0.1, 0.3, 0.5, 0.7, 0.9}
-        assert all(r.parameter == "p_nlos" for r in rows)
 
     def test_single_value_sweep_equals_base_run(self):
         rows = sweep("mu_nlos", [8.0], self.BASE)
@@ -520,7 +519,7 @@ class TestSweep:
         assert len(pools) == 1
         assert len(pooled) == len(serial) == 6
         for a, b in zip(pooled, serial):
-            assert (a.parameter, a.value, a.combination) == (b.parameter, b.value, b.combination)
+            assert (a.value, a.combination) == (b.value, b.combination)
             for name in ("rmse_series", "bias_r_series", "bias_theta_series",
                          "ercm_lambda_min_series"):
                 assert getattr(a.metrics, name).tobytes() == getattr(b.metrics, name).tobytes()
@@ -532,10 +531,10 @@ class TestSweep:
     def test_no_worker_outlives_a_failed_sweep(self, monkeypatch, pools):
         run = experiment.run_single
 
-        def failing(scenario, *args):
-            if scenario.p_nlos == 0.5:
+        def failing(world, *args):
+            if world.scenario.p_nlos == 0.5:
                 raise RuntimeError("run fault")
-            return run(scenario, *args)
+            return run(world, *args)
         monkeypatch.setattr(experiment, "run_single", failing)
         base = dataclasses.replace(self.BASE, n_jobs=2)
         with pytest.raises(RuntimeError, match="run fault"):
@@ -584,7 +583,7 @@ class TestCsvOutput:
                         filters=("proposed",), planners=("reactive",), n_runs=1)
         rows = sweep("eta", [4.0, 5.0], base)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows, seed=1, preset="canonical_medium")
+        write_sweep_csv(path, "eta", rows, seed=1, preset="canonical_medium")
         lines = path.read_text().splitlines()
         assert lines[1] == "parameter,value,combination,final_rmse_m,steps_to_2p5m,avg_cost_ms"
         assert len(lines) == 2 + 2

@@ -138,7 +138,7 @@ def ref_float_update(state, z, config):
     variances = [cov[i][i] for i in range(4)]
     if not (all(map(math.isfinite, sum(cov, xi))) and min(variances) > 0.0):
         raise FilterDivergenceError(
-            f"{modality.value} update at step {z.step} gave mean {xi} and variances {variances}")
+            f"{modality.value} update gave mean {xi} and variances {variances}")
     implied = None
     if not is_aoa and spec.family is LossFamily.ONE_SIDED:
         implied = soft_threshold_bias(r, spec)

@@ -292,13 +292,11 @@ def test_every_planner_returns_a_float_pair(as_array):
 class TestRegistryAndCost:
     def test_make_planner(self):
         cfg = PlannerConfig()
-        assert isinstance(make_planner("passive", cfg), LawnmowerPlanner)
-        assert isinstance(make_planner("reactive", cfg), ReactiveCrossingPlanner)
+        assert isinstance(make_planner("passive", cfg, NOISE), LawnmowerPlanner)
+        assert isinstance(make_planner("reactive", cfg, NOISE), ReactiveCrossingPlanner)
         assert isinstance(make_planner("fim", cfg, NOISE), FimPlanner)
         with pytest.raises(ValueError):
-            make_planner("rrt", cfg)
-        with pytest.raises(ValueError):
-            make_planner("fim", cfg)  # noise scales required
+            make_planner("rrt", cfg, NOISE)
 
     @staticmethod
     def _time_per_call(fn, reps=2000):

@@ -192,8 +192,7 @@ class TestObserve:
         for seq, seed in ((seq1, 9), (seq2, 9)):
             rng = np.random.default_rng(seed)
             for t in range(100):
-                m_rtt, m_aoa = observe_with_draw(sc, (10.0 + t, 10.0), channel_draws(rng),
-                                                 step=t)[:2]
+                m_rtt, m_aoa = observe_with_draw(sc, (10.0 + t, 10.0), channel_draws(rng))[:2]
                 seq.append((m_rtt.value, m_aoa.value))
         assert seq1 == seq2
 
@@ -207,8 +206,7 @@ class TestObserve:
     def test_measurement_metadata(self):
         sc = get_preset("canonical_medium")
         rng = np.random.default_rng(12)
-        m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), channel_draws(rng), step=17)[:2]
+        m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), channel_draws(rng))[:2]
         assert m_rtt.modality is Modality.RTT
         assert m_aoa.modality is Modality.AOA
-        assert m_rtt.step == 17 and m_aoa.step == 17
         assert m_rtt.agent == (20.0, 30.0)
