@@ -88,9 +88,9 @@ class FilterParams:
 class FilterConfig:
     """One filter instance: its two losses and the params it runs with.
 
-    ``params.k_rtt`` / ``params.k_aoa`` are the inputs the losses were
-    built from; :func:`update` reads only the losses, and EM replaces only
-    ``rtt_loss``.
+    ``params.k_rtt`` / ``params.k_aoa`` are the inputs each loss's ``tau``
+    was built from; :func:`update` reads only the losses, and EM replaces
+    only ``rtt_loss``, rebuilt from the refreshed rate.
     """
 
     rtt_loss: LossSpec

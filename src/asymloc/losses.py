@@ -11,9 +11,9 @@ Three families share one interface:
   and linear outside; treats both signs alike.
 * ``QUADRATIC`` -- plain least squares, no threshold.
 
-Losses are normalized: the 1/sigma^2 factor lives inside the loss, so the
-one-sided threshold is ``tau = lam * sigma^2`` while the symmetric one is
-``tau = k * sigma``. The two parameterizations meet at ``k = lam * sigma``.
+Losses are normalized: the 1/sigma^2 factor lives inside the loss. A spec
+stores one threshold ``tau``, built as ``lam * sigma^2`` one-sided (from the
+bias rate ``lam``) and ``k * sigma`` symmetric; they meet at ``k = lam * sigma``.
 The families differ only in which residuals saturate: those outside the
 interval ``[lo, hi]`` each spec sets once, ``(-inf, tau]`` one-sided,
 ``[-tau, tau]`` symmetric, ``(-inf, inf)`` quadratic; a NaN never does
@@ -49,68 +49,46 @@ def k_from_lambda(lam: float, sigma: float) -> float:
     ``k = lam * sigma``: the two threshold conventions ``lam * sigma^2``
     (physical) and ``k * sigma`` (normalized-residual) coincide.
     """
-    if lam <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"lam and sigma must be positive, got lam={lam}, sigma={sigma}")
+    if not (0.0 < lam < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError(f"lam and sigma must be positive and finite, got lam={lam}, sigma={sigma}")
     return lam * sigma
 
 
 def lambda_from_k(k: float, sigma: float) -> float:
     """Inverse of :func:`k_from_lambda`: ``lam = k / sigma``."""
-    if k <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"k and sigma must be positive, got k={k}, sigma={sigma}")
+    if not (0.0 < k < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError(f"k and sigma must be positive and finite, got k={k}, sigma={sigma}")
     return k / sigma
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss family plus its scale parameters.
+    """Loss family, the residual's noise scale ``sigma`` (meters or radians)
+    and the saturation threshold ``tau`` (``None`` for quadratic), each
+    positive and finite; ``[lo, hi]`` holds the residuals that do not saturate.
 
-    ``sigma`` is the nominal noise scale of the residual (meters or
-    radians). One-sided specs carry the bias rate ``lam`` (1/meters) and
-    the equivalent ``k = lam * sigma``; symmetric specs carry ``k`` only.
-    ``tau`` is the derived saturation threshold (``None`` for quadratic) and
-    ``[lo, hi]`` the interval of residuals that do not saturate.
-
-    Prefer the ``one_sided`` / ``symmetric`` / ``quadratic`` constructors.
+    Prefer the ``one_sided`` / ``symmetric`` / ``quadratic`` constructors:
+    they derive ``tau`` from the bias rate ``lam`` or the constant ``k``.
     """
 
     family: LossFamily
     sigma: float
-    lam: Optional[float] = None
-    k: Optional[float] = None
-    tau: Optional[float] = field(default=None, init=False)
+    tau: Optional[float] = None
     lo: float = field(init=False, repr=False, compare=False)
     hi: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        # plain floats, so the filter's float arithmetic never runs on numpy
-        # scalars (same bits, several times the cost per operation)
-        for name in ("sigma", "lam", "k"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(value))
-        if self.family is LossFamily.ONE_SIDED:
-            if (self.lam is None) == (self.k is None):
-                raise ValueError("one-sided spec takes exactly one of lam, k")
-            if self.lam is None:
-                object.__setattr__(self, "lam", lambda_from_k(self.k, self.sigma))
-            else:
-                if self.lam <= 0.0:
-                    raise ValueError(f"lam must be positive, got {self.lam}")
-                object.__setattr__(self, "k", k_from_lambda(self.lam, self.sigma))
-            object.__setattr__(self, "tau", self.lam * self.sigma**2)
-        elif self.family is LossFamily.SYMMETRIC:
-            if self.k is None or self.lam is not None:
-                raise ValueError("symmetric spec takes k only")
-            if self.k <= 0.0:
-                raise ValueError(f"k must be positive, got {self.k}")
-            object.__setattr__(self, "tau", self.k * self.sigma)
-        else:
-            if self.lam is not None or self.k is not None:
-                raise ValueError("quadratic spec takes no threshold parameter")
-        hi = math.inf if self.family is LossFamily.QUADRATIC else self.tau
+        quadratic = self.family is LossFamily.QUADRATIC
+        if quadratic != (self.tau is None):
+            raise ValueError(f"a {self.family.value} spec takes {'no' if quadratic else 'a'} tau")
+        for name in ("sigma",) if quadratic else ("sigma", "tau"):
+            # plain floats, so the filter's float arithmetic never runs on
+            # numpy scalars (same bits, several times the cost per operation)
+            value = float(getattr(self, name))
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
+        hi = math.inf if quadratic else self.tau
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo", -math.inf if self.family is LossFamily.ONE_SIDED else -hi)
 
@@ -120,18 +98,24 @@ class LossSpec:
 
     @property
     def slope(self) -> float:
-        """Gradient magnitude on the saturated branch: ``lam`` for one-sided,
-        ``k / sigma`` for symmetric (both equal ``tau / sigma^2``)."""
-        return self.lam if self.family is LossFamily.ONE_SIDED else self.k / self.sigma
+        """Gradient magnitude on the saturated branch, ``tau / sigma^2``:
+        ``lam`` for one-sided, ``k / sigma`` for symmetric."""
+        return self.tau / self.sigma**2
 
     @classmethod
     def one_sided(cls, sigma: float, lam: Optional[float] = None,
                   k: Optional[float] = None) -> "LossSpec":
-        return cls(LossFamily.ONE_SIDED, sigma, lam=lam, k=k)
+        """``tau = lam * sigma^2``; pass ``lam`` or ``k`` (``lam = k / sigma``)."""
+        if (lam is None) == (k is None):
+            raise ValueError("one-sided spec takes exactly one of lam, k")
+        sigma = float(sigma)
+        if lam is None:
+            lam = lambda_from_k(float(k), sigma)
+        return cls(LossFamily.ONE_SIDED, sigma, float(lam) * sigma**2)
 
     @classmethod
     def symmetric(cls, sigma: float, k: float) -> "LossSpec":
-        return cls(LossFamily.SYMMETRIC, sigma, k=k)
+        return cls(LossFamily.SYMMETRIC, sigma, float(k) * float(sigma))
 
     @classmethod
     def quadratic(cls, sigma: float) -> "LossSpec":
@@ -194,8 +178,8 @@ def em_update_lambda(bias_estimates: Sequence[float]) -> float:
     """
     if len(bias_estimates) == 0:
         raise ValueError("need at least one bias estimate")
-    if any(b < 0.0 for b in bias_estimates):
-        raise ValueError("bias estimates must be non-negative")
+    if not all(0.0 <= b < math.inf for b in bias_estimates):
+        raise ValueError("bias estimates must be non-negative and finite")
     mean = sum(bias_estimates) / len(bias_estimates)
     if mean <= 0.0:
         raise NoNlosEvidenceError("no NLOS evidence: all bias estimates are zero")

@@ -467,7 +467,8 @@ class TestGrid:
             if kind == "ekf":
                 assert fc.rtt_loss.family is fc.aoa_loss.family is LossFamily.QUADRATIC
             else:
-                assert (fc.rtt_loss.k, fc.aoa_loss.k) == (2.0, 1.1)
+                assert (fc.rtt_loss.tau, fc.aoa_loss.tau) == (2.0 * cfg.scenario.sigma_r,
+                                                              1.1 * cfg.scenario.sigma_theta_rad)
             assert cov[0, 0] == cov[1, 1] == 25.0**2
             assert cov[2, 2] == 3.0**2
             assert cov[3, 3] == math.radians(7.0) ** 2

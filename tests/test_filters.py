@@ -190,12 +190,14 @@ def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
     for z in measurements:
         if z.modality is Modality.RTT:
             r = z.value - np.hypot(x1 - z.agent[0], x2 - z.agent[1]) - dr
-            total += np.where(r <= cfg.rtt_loss.tau, r * r / (2 * cfg.rtt_loss.sigma**2),
-                              cfg.rtt_loss.lam * r - 0.5 * cfg.rtt_loss.lam**2 * cfg.rtt_loss.sigma**2)
+            tau, sg = cfg.rtt_loss.tau, cfg.rtt_loss.sigma
+            lam = tau / sg**2
+            total += np.where(r <= tau, r * r / (2 * sg**2), lam * r - 0.5 * lam**2 * sg**2)
         else:
             raw = z.value - np.arctan2(x2 - z.agent[1], x1 - z.agent[0]) - dt
             r = np.abs((raw + np.pi) % (2 * np.pi) - np.pi)
-            tau, sg, k = cfg.aoa_loss.tau, cfg.aoa_loss.sigma, cfg.aoa_loss.k
+            tau, sg = cfg.aoa_loss.tau, cfg.aoa_loss.sigma
+            k = tau / sg
             total += np.where(r <= tau, r * r / (2 * sg**2), (k / sg) * r - 0.5 * k**2)
     return total
 
@@ -456,7 +458,7 @@ class TestRobustEkfWrapper:
         for _ in range(5):
             diag = filt.update(Measurement(Modality.RTT, d + 3.0, agent))
             biases.append(diag.implied_bias)
-        assert filt.config.rtt_loss.lam == pytest.approx(1.0 / np.mean(biases), rel=1e-9)
+        assert filt.config.rtt_loss.slope == pytest.approx(1.0 / np.mean(biases), rel=1e-9)
 
     def test_em_keeps_rate_without_bias_evidence(self):
         cfg = one_sided_config(em_enabled=True, em_window=3,
@@ -467,4 +469,4 @@ class TestRobustEkfWrapper:
         d = h_rtt((50.0, 50.0), agent)
         for _ in range(3):
             filt.update(Measurement(Modality.RTT, d, agent))  # zero residuals
-        assert filt.config.rtt_loss.lam == 1.0
+        assert filt.config.rtt_loss == cfg.rtt_loss

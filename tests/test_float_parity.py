@@ -408,7 +408,7 @@ def test_numpy_scalar_noise_scales_give_the_float_bits(kind):
     from_numpy = make_filter_config(kind, np.float64(1.5), np.radians(2.0))
     for spec in (from_numpy.rtt_loss, from_numpy.aoa_loss):
         assert all(type(getattr(spec, f)) is float
-                   for f in ("sigma", "lam", "k", "tau") if getattr(spec, f) is not None)
+                   for f in ("sigma", "tau") if getattr(spec, f) is not None)
     assert from_numpy == from_float
     for i in range(200):
         mean = np.array([*rng.uniform(5, 95, 2), rng.normal(0, 2), rng.normal(0, 0.05)])

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ ALL_SPECS = [ONE, SYM, QUAD,
 
 def bias_objective(b, r, spec):
     """The constrained bias subproblem the soft threshold solves."""
-    return (r - b) ** 2 / (2 * spec.sigma**2) + spec.lam * b
+    return (r - b) ** 2 / (2 * spec.sigma**2) + spec.slope * b
 
 
 def grid_min_bias(r, spec, step=1e-4):
@@ -51,13 +52,18 @@ class TestLossSpec:
     def test_quadratic_has_no_threshold(self):
         assert QUAD.tau is None
 
-    def test_tau_is_derived_not_an_argument(self):
-        # tau follows from the family and its parameters; a tau passed in
-        # would report a threshold the spec never applies
-        for family, kwargs in ((LossFamily.QUADRATIC, {}), (LossFamily.SYMMETRIC, {"k": 1.0}),
-                               (LossFamily.ONE_SIDED, {"lam": 1.0})):
+    def test_tau_is_the_one_threshold_argument(self):
+        # a spec stores its threshold once: lam and k are constructor inputs
+        for family, kwargs in ((LossFamily.ONE_SIDED, {"lam": 1.0}),
+                               (LossFamily.ONE_SIDED, {"k": 1.0}), (LossFamily.SYMMETRIC, {"k": 1.0})):
             with pytest.raises(TypeError):
-                LossSpec(family, 1.0, tau=5.0, **kwargs)
+                LossSpec(family, 1.0, **kwargs)
+        with pytest.raises(ValueError):
+            LossSpec(LossFamily.QUADRATIC, 1.0, 5.0)
+        for family in (LossFamily.ONE_SIDED, LossFamily.SYMMETRIC):
+            with pytest.raises(ValueError):
+                LossSpec(family, 1.0)
+            assert LossSpec(family, 1.0, 2.0).tau == 2.0
         assert LossSpec(LossFamily.QUADRATIC, 1.0).tau is None
 
     def test_validation(self):
@@ -157,7 +163,7 @@ class TestLossGrad:
         assert loss_grad(0.0, ONE) == 0.0
 
     def test_saturated_grad_is_lambda(self):
-        assert loss_grad(100.0, ONE) == ONE.lam
+        assert loss_grad(100.0, ONE) == ONE.slope == 1.0
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -261,6 +267,34 @@ class TestEmUpdate:
         assert lam == pytest.approx(0.125, rel=0.10)
 
 
+# Each scale a constructor or translator takes must be positive and finite: a
+# NaN threshold never saturates and a NaN sigma gives a NaN curvature.
+SCALE_TAKERS = {
+    "one_sided-sigma": lambda x: LossSpec.one_sided(x, lam=1.0),
+    "one_sided-lam": lambda x: LossSpec.one_sided(1.0, lam=x),
+    "one_sided-k": lambda x: LossSpec.one_sided(1.0, k=x),
+    "symmetric-sigma": lambda x: LossSpec.symmetric(x, 1.0),
+    "symmetric-k": lambda x: LossSpec.symmetric(1.0, x),
+    "quadratic-sigma": LossSpec.quadratic,
+    "k_from_lambda-lam": lambda x: k_from_lambda(x, 1.0),
+    "k_from_lambda-sigma": lambda x: k_from_lambda(1.0, x),
+    "lambda_from_k-k": lambda x: lambda_from_k(x, 1.0),
+    "lambda_from_k-sigma": lambda x: lambda_from_k(1.0, x),
+}
+BAD_SCALES = (math.nan, math.inf, -math.inf, 0.0, -2.0)
+
+
+@pytest.mark.parametrize("take, bad", [
+    *(pytest.param(take, bad, id=f"{name}={bad}")
+      for name, take in SCALE_TAKERS.items() for bad in BAD_SCALES),
+    # a zero solved bias is a valid entry; a non-finite or negative one is not
+    *(pytest.param(lambda x: em_update_lambda([1.0, x]), bad, id=f"em_update_lambda-entry={bad}")
+      for bad in (math.nan, math.inf, -2.0))])
+def test_non_finite_or_nonpositive_scale_is_refused(take, bad):
+    with pytest.raises(ValueError):
+        take(bad)
+
+
 # Property tests of the saturation rule: r > tau saturates a one-sided loss,
 # |r| > tau a symmetric one, and nothing saturates a quadratic one.
 SIGMAS = st.floats(min_value=1e-3, max_value=1e3)
@@ -310,6 +344,40 @@ class TestSaturationRuleProperties:
                 assert f(r, one) == pytest.approx(f(r, sym), rel=1e-12)
 
 
+class RefSpec(NamedTuple):
+    """A threshold as derived when a spec stored ``lam`` and ``k`` beside it."""
+
+    family: LossFamily
+    sigma: float
+    tau: Optional[float]
+
+    @property
+    def interval(self):
+        hi = math.inf if self.family is LossFamily.QUADRATIC else self.tau
+        return (-math.inf if self.family is LossFamily.ONE_SIDED else -hi), hi
+
+
+@st.composite
+def spec_and_reference(draw):
+    """A spec built from drawn ``sigma`` and ``lam`` or ``k``, as Python
+    floats or numpy scalars, beside its reference derivation: all scales
+    made floats first, then ``tau = lam * sigma^2`` with ``lam = k / sigma``
+    one-sided and ``tau = k * sigma`` symmetric."""
+    as_type = draw(st.sampled_from((float, np.float64)))
+    sigma = as_type(draw(SIGMAS))
+    s = float(sigma)
+    family = draw(st.sampled_from(LossFamily))
+    if family is LossFamily.QUADRATIC:
+        return LossSpec.quadratic(sigma), RefSpec(family, s, None)
+    k = as_type(draw(KS))
+    if family is LossFamily.SYMMETRIC:
+        return LossSpec.symmetric(sigma, k), RefSpec(family, s, float(k) * s)
+    if draw(st.booleans()):
+        lam = as_type(draw(st.floats(min_value=1e-3, max_value=1e3)))
+        return LossSpec.one_sided(sigma, lam=lam), RefSpec(family, s, float(lam) * s**2)
+    return LossSpec.one_sided(sigma, k=k), RefSpec(family, s, (float(k) / s) * s**2)
+
+
 def ref_saturates(r, spec):
     """The per-family saturation rule the interval ``[lo, hi]`` replaced."""
     if spec.family is LossFamily.ONE_SIDED:
@@ -348,11 +416,17 @@ class TestSaturationInterval:
             LossSpec(LossFamily.QUADRATIC, 1.0, lo=-1.0)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(spec=SPECS,
+    @given(pair=spec_and_reference(),
            r=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-    def test_interval_rule_equals_the_per_family_rule(self, spec, r):
+    def test_interval_rule_equals_the_per_family_rule(self, pair, r):
+        # the stored threshold and the readers keep the reference derivation's
+        # bits; repr matches NaN to NaN and tells -0.0 from 0.0
+        spec, ref = pair
+        assert (repr(spec.sigma), repr(spec.tau)) == (repr(ref.sigma), repr(ref.tau))
+        assert (repr(spec.lo), repr(spec.hi)) == tuple(map(repr, ref.interval))
         for x in [r, *edge_residuals(spec)]:
-            assert spec.saturates(x) is ref_saturates(x, spec), x
-            # repr matches NaN to NaN and tells -0.0 from 0.0: the same bits
-            assert repr(irls_weight(x, spec)) == repr(ref_irls_weight(x, spec)), x
-            assert repr(loss_curvature(x, spec)) == repr(ref_loss_curvature(x, spec)), x
+            assert spec.saturates(x) is ref_saturates(x, ref), x
+            assert repr(irls_weight(x, spec)) == repr(ref_irls_weight(x, ref)), x
+            assert repr(loss_curvature(x, spec)) == repr(ref_loss_curvature(x, ref)), x
+            if spec.family is LossFamily.ONE_SIDED:
+                assert repr(soft_threshold_bias(x, spec)) == repr(max(0.0, x - ref.tau)), x
