@@ -67,7 +67,7 @@ class ExperimentConfig(GridSpec):
 SCHEMA = {(f.metadata["section"], knobs.key(f)): (cls, f)
           for cls in (ExperimentConfig, Scenario, FilterParams, PlannerConfig, SweepSpec)
           for f in knobs.config_fields(cls)}
-_SECTIONS = ("experiment", "scenario", "filter", "planner", "sweep")
+_SECTIONS = tuple(dict.fromkeys(s for s, _ in SCHEMA))
 
 
 def parse_config(text: str,

@@ -155,9 +155,8 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
     planner = make_planner(planner_kind, planner_cfg, noise)
     tracker = SlidingCurvatureTracker(ERCM_WINDOW)
 
-    # per-step values as floats; the arrays are built once, after the loop
-    est_x, est_y, bias_r, bias_theta = [], [], [], []
-    lambda_min, planner_cost, trajectory = [], [], []
+    # one float row per step, (*mean, lambda_min, planner cost, *pose)
+    rows = []
     n_clamped = 0
     aborted_at: Optional[int] = None
     abort_reason = ""
@@ -183,29 +182,22 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
                 if not d_aoa.skipped:
                     track(classify_residual(d_aoa.residual, aoa_loss, d_aoa.jacobian_pos))
             ex, ey, br, bt = filt.state.m
-            est_x.append(ex)
-            est_y.append(ey)
-            bias_r.append(br)
-            bias_theta.append(bt)
-            lambda_min.append(tracker_lambda_min())
-            trajectory.append(agent)
+            lmin = tracker_lambda_min()
             tic = clock()
-            agent = next_pose(agent, (ex, ey))
-            planner_cost.append(clock() - tic)
+            pose = next_pose(agent, (ex, ey))
+            rows.append((ex, ey, br, bt, lmin, clock() - tic, *agent))
+            agent = pose
         except FilterDivergenceError as exc:
             aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
 
-    pad = [math.nan] * (steps - len(planner_cost))
+    table = np.array(rows + [(math.nan,) * 8] * (steps - len(rows)))
     # one elementwise np.hypot gives the bits of the per-step scalar call
     # (math.hypot may differ in the last bit)
-    errors = np.hypot(np.array(est_x + pad) - tx, np.array(est_y + pad) - ty)
-    return RunResult(errors=errors, bias_r=np.array(bias_r + pad),
-                     bias_theta=np.array(bias_theta + pad),
-                     lambda_min=np.array(lambda_min + pad),
-                     planner_cost=np.array(planner_cost + pad),
-                     trajectory=np.array(trajectory + [(math.nan, math.nan)] * len(pad)),
+    errors = np.hypot(table[:, 0] - tx, table[:, 1] - ty)
+    return RunResult(errors=errors, bias_r=table[:, 2], bias_theta=table[:, 3],
+                     lambda_min=table[:, 4], planner_cost=table[:, 5], trajectory=table[:, 6:],
                      n_clamped=n_clamped, aborted_at=aborted_at, abort_reason=abort_reason)
 
 

@@ -102,19 +102,19 @@ class UpdateDiagnostics(NamedTuple):
     """What a single measurement update did.
 
     ``residual``, ``weight`` and the position Jacobian ``jacobian_pos`` (a
-    float pair) are those of the final linearization point. ``implied_bias``
-    is the solved non-negative range bias for one-sided RTT updates,
-    ``None`` otherwise. ``skipped`` marks measurements dropped because
-    agent and estimate coincide.
+    float pair) are those of the final linearization point, where the
+    residual saturated exactly when ``weight < 1``. ``skipped`` marks
+    measurements dropped because agent and estimate coincide.
     """
 
-    modality: Modality
     residual: float = 0.0
     weight: float = 1.0
-    saturated: bool = False
-    implied_bias: Optional[float] = None
     jacobian_pos: Optional[tuple[float, float]] = None
     skipped: bool = False
+
+    @property
+    def saturated(self) -> bool:
+        return self.weight < 1.0
 
 
 def make_filter_config(kind: str, sigma_r: float, sigma_theta: float,
@@ -205,9 +205,9 @@ def update(state: EstimatorState, z: Measurement,
         try:
             pred, dist, j0, j1 = linearize((e0, e1), agent, is_aoa)
         except CoincidentPointsError:
-            return state, UpdateDiagnostics(modality, skipped=True)
+            return state, UpdateDiagnostics(skipped=True)
         if is_aoa and dist < MIN_AOA_RANGE:
-            return state, UpdateDiagnostics(modality, skipped=True)
+            return state, UpdateDiagnostics(skipped=True)
         ed = e3 if is_aoa else e2
         r = value - pred - ed
         if is_aoa:
@@ -244,26 +244,24 @@ def update(state: EstimatorState, z: Measurement,
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
     # ones that produced the applied gain; built positionally, in field order
-    implied = None
-    if not is_aoa and spec.family is LossFamily.ONE_SIDED:
-        implied = soft_threshold_bias(r, spec)
-    return new_state, tuple.__new__(UpdateDiagnostics,
-                                    (modality, r, w, w < 1.0, implied, (j0, j1), False))
+    return new_state, tuple.__new__(UpdateDiagnostics, (r, w, (j0, j1), False))
 
 
 class RobustEkf:
     """Stateful wrapper around the pure filter functions.
 
-    One instance per simulation run. When ``params.em_enabled`` is set,
-    the rate parameter of a one-sided RTT loss is refreshed every
-    ``params.em_window`` range updates from the window's solved biases
-    (inverse sample mean); an all-zero window keeps the current rate.
+    One instance per simulation run. With ``params.em_enabled`` and a
+    one-sided RTT loss, each applied range update's bias is solved under the
+    loss it applied, and the rate is refreshed every ``params.em_window``
+    biases (inverse sample mean); an all-zero window keeps the current rate.
     """
 
     def __init__(self, config: FilterConfig, initial_guess):
         self.config = config
         self.state = init_state(config, initial_guess)
-        self._em_enabled = config.params.em_enabled
+        # an EM refresh keeps the loss one-sided, so this holds for the run
+        self._em_rtt = (config.params.em_enabled
+                        and config.rtt_loss.family is LossFamily.ONE_SIDED)
         self._bias_window: list[float] = []
 
     def predict(self) -> None:
@@ -271,9 +269,8 @@ class RobustEkf:
 
     def update(self, z: Measurement) -> UpdateDiagnostics:
         self.state, diag = update(self.state, z, self.config)
-        # only an applied one-sided range update solves an implied bias
-        if self._em_enabled and diag.implied_bias is not None:
-            self._bias_window.append(diag.implied_bias)
+        if self._em_rtt and z.modality is Modality.RTT and not diag.skipped:
+            self._bias_window.append(soft_threshold_bias(diag.residual, self.config.rtt_loss))
             if len(self._bias_window) >= self.config.params.em_window:
                 self._refresh_rtt_rate()
                 self._bias_window.clear()

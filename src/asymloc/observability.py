@@ -23,12 +23,15 @@ from .losses import LossSpec, loss_curvature
 
 class CurvatureSample(NamedTuple):
     """One measurement's curvature contribution: position Jacobian (any
-    2-sequence: a float pair or an array), second derivative weight, and
-    whether the residual was saturated."""
+    2-sequence: a float pair or an array) and second derivative weight. A
+    sample is saturated exactly when its weight is zero."""
 
     jacobian: Sequence[float]
     weight: float
-    saturated: bool
+
+    @property
+    def saturated(self) -> bool:
+        return self.weight == 0.0
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,8 @@ def eig_sym(a: float, b: float, c: float) -> tuple[float, float]:
 
 def classify_residual(r: float, spec: LossSpec, jacobian: Sequence[float]) -> CurvatureSample:
     """Turn a residual into a curvature sample: weight is the loss's second
-    derivative at ``r``; zero weight marks the sample saturated."""
-    w = loss_curvature(r, spec)
-    return tuple.__new__(CurvatureSample, (jacobian, w, w == 0.0))
+    derivative at ``r``, zero where the residual saturates."""
+    return tuple.__new__(CurvatureSample, (jacobian, loss_curvature(r, spec)))
 
 
 def _report_from(a: float, b: float, c: float) -> CurvatureReport:

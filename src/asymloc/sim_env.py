@@ -190,10 +190,3 @@ PRESETS = {
     "canonical_high": Scenario(sigma_r=2.5),
     "obstacle": Scenario(sigma_r=1.5, obstacle=Rect(50.0, 35.0, 25.0, 8.0), p_nlos_clear=0.1),
 }
-
-
-def get_preset(name: str) -> Scenario:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None

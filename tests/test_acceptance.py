@@ -21,7 +21,7 @@ from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
 from asymloc.losses import LossSpec, k_from_lambda, lambda_from_k, loss, loss_grad
 from asymloc.observability import CurvatureSample, accumulate, crossing_improves
 from asymloc.planners import PlannerConfig, fim_e_optimal, reactive_crossing
-from asymloc.sim_env import Scenario, get_preset
+from asymloc.sim_env import PRESETS, Scenario
 
 from arrays import cov_of, matrix_of, mean_of
 from test_filters import independent_plain_ekf
@@ -32,7 +32,7 @@ def report(num, name, ok, detail):
 
 
 def canonical_grid():
-    return GridSpec(scenario=get_preset("canonical_medium"),
+    return GridSpec(scenario=PRESETS["canonical_medium"],
                     filters=("proposed", "huber"),
                     planners=("passive", "reactive", "fim"),
                     n_runs=50, threshold=2.5, n_jobs=2)
@@ -57,7 +57,7 @@ def canonical():
 
 @pytest.fixture(scope="session")
 def obstacle():
-    grid = GridSpec(scenario=get_preset("obstacle"),
+    grid = GridSpec(scenario=PRESETS["obstacle"],
                     filters=("proposed",), planners=("reactive", "fim"),
                     n_runs=50, threshold=2.5, n_jobs=2)
     results = run_grid(grid)
@@ -132,7 +132,7 @@ def test_criterion_03_curvature_degeneracy():
     tic = time.perf_counter()
     rng = np.random.default_rng(1003)
     # all-saturated set collapses to the zero matrix
-    saturated = [CurvatureSample(rng.normal(0, 1, 2), 0.0, True) for _ in range(40)]
+    saturated = [CurvatureSample(rng.normal(0, 1, 2), 0.0) for _ in range(40)]
     rep = accumulate(saturated)
     assert np.array_equal(matrix_of(rep), np.zeros((2, 2)))
     assert rep.lambda_min == 0.0
@@ -140,7 +140,7 @@ def test_criterion_03_curvature_degeneracy():
     worst_gain = math.inf
     n_checked = 0
     while n_checked < 1000:
-        base = [CurvatureSample(rng.normal(0, 1, 2), float(rng.uniform(0.1, 2)), False)
+        base = [CurvatureSample(rng.normal(0, 1, 2), float(rng.uniform(0.1, 2)))
                 for _ in range(int(rng.integers(1, 6)))]
         before = accumulate(base)
         if before.lambda_max - before.lambda_min < 1e-9:
@@ -149,7 +149,7 @@ def test_criterion_03_curvature_degeneracy():
         angle = float(rng.uniform(-np.deg2rad(80), np.deg2rad(80)))
         c, s = math.cos(angle), math.sin(angle)
         j = np.array([[c, -s], [s, c]]) @ evecs[:, 0]
-        _, gain = crossing_improves(before, CurvatureSample(j, float(rng.uniform(0.1, 2)), False))
+        _, gain = crossing_improves(before, CurvatureSample(j, float(rng.uniform(0.1, 2))))
         worst_gain = min(worst_gain, gain)
         n_checked += 1
     elapsed = time.perf_counter() - tic

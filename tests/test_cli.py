@@ -14,7 +14,7 @@ from asymloc.config import ExperimentConfig, SweepSpec
 from asymloc.experiment import SWEEP_PARAMETERS
 from asymloc.filters import FilterParams
 from asymloc.planners import PlannerConfig
-from asymloc.sim_env import PRESETS, Rect, Scenario, get_preset
+from asymloc.sim_env import PRESETS, Rect, Scenario
 
 
 MINIMAL = "[experiment]\npreset = canonical_medium\n"
@@ -44,8 +44,10 @@ class TestParseConfig:
             parse_config(MINIMAL + "frobnicate = 1\n")
         with pytest.raises(ConfigError, match="scenario.sigma"):
             parse_config(MINIMAL + "[scenario]\nsigma = 2\n")
-        with pytest.raises(ConfigError, match=r"unknown section \[plans\]"):
+        with pytest.raises(ConfigError) as exc:
             parse_config(MINIMAL + "[plans]\neta = 2\n")
+        assert str(exc.value) == ("unknown section [plans]; expected one of "
+                                  "('experiment', 'scenario', 'filter', 'planner', 'sweep')")
 
     def test_out_of_range_values(self):
         with pytest.raises(ConfigError, match="scenario.p_nlos"):
@@ -98,11 +100,11 @@ class TestParseConfig:
     # a config that is built only to be refused on replay breaks dump_config's round trip
     def test_unknown_preset_refused_when_built(self):
         with pytest.raises(ValueError, match="preset: unknown entry 'bogus'"):
-            ExperimentConfig(preset="bogus", scenario=get_preset("canonical_medium"))
+            ExperimentConfig(preset="bogus", scenario=PRESETS["canonical_medium"])
 
     def test_sweep_values_checked_when_built(self):
         with pytest.raises(ValueError, match=r"sweep\.values: p_nlos: 2\.0 must be <= 1\.0"):
-            ExperimentConfig(preset="canonical_medium", scenario=get_preset("canonical_medium"),
+            ExperimentConfig(preset="canonical_medium", scenario=PRESETS["canonical_medium"],
                              sweep=SweepSpec("p_nlos", (0.5, 2.0)))
 
     def test_round_trip(self):
@@ -320,8 +322,8 @@ class TestFlagsAsConfigKeys:
         cfg = parse_config((out / "config.ini").read_text())
         assert cfg.preset == "obstacle"
         # the flag's preset replaces the file's scenario, [scenario] overrides included
-        assert cfg.scenario.obstacle == get_preset("obstacle").obstacle
-        assert cfg.scenario.p_nlos == get_preset("obstacle").p_nlos
+        assert cfg.scenario.obstacle == PRESETS["obstacle"].obstacle
+        assert cfg.scenario.p_nlos == PRESETS["obstacle"].p_nlos
         # seed, steps and the [filter]/[planner] overrides come from the file
         assert (cfg.scenario.seed, cfg.scenario.steps, cfg.n_runs) == (7, 5, 1)
         assert cfg.filter_params.k_rtt == 2.5
@@ -374,7 +376,7 @@ def experiment_configs(draw, preset):
     point = st.tuples(*[st.floats(min_value=0.0, max_value=arena)] * 2)
     rect = st.builds(Rect, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
                      st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
-    scenario = dataclasses.replace(get_preset(preset), **draw(knob_values(
+    scenario = dataclasses.replace(PRESETS[preset], **draw(knob_values(
         Scenario, arena=st.just(arena), truth=point, start=point,
         obstacle=st.none() | rect)))
     sweep = draw(st.none() | st.sampled_from(SWEEP_PARAMETERS).flatmap(sweep_specs))

@@ -28,7 +28,7 @@ from asymloc.experiment import World
 from asymloc.filters import RobustEkf, make_filter_config
 from asymloc.geometry import Modality
 from asymloc.planners import PlannerConfig, make_planner
-from asymloc.sim_env import get_preset
+from asymloc.sim_env import PRESETS
 from arrays import cov_of, mean_of
 
 N_RUNS = 50
@@ -50,7 +50,7 @@ def ekf_passive_loop(preset: str) -> tuple[np.ndarray, dict[Modality, np.ndarray
     closed loop as ``run_single`` runs it (same first-fix guess, same step
     order), which does not expose the covariance. ``ekf`` runs one round, so
     an update's residual is its innovation."""
-    scenario = dataclasses.replace(get_preset(preset), p_nlos=0.0, steps=N_STEPS)
+    scenario = dataclasses.replace(PRESETS[preset], p_nlos=0.0, steps=N_STEPS)
     cfg = make_filter_config("ekf", scenario.sigma_r, scenario.sigma_theta_rad)
     noise = {Modality.RTT: cfg.rtt_loss.sigma, Modality.AOA: cfg.aoa_loss.sigma}
     offset = {Modality.RTT: 2, Modality.AOA: 3}

@@ -17,10 +17,10 @@ from asymloc.filters import (FilterParams, Measurement, UpdateDiagnostics, init_
                              make_filter_config, update)
 from asymloc.geometry import Modality, h_aoa, h_rtt, linearize, wrap_angle
 from asymloc.knobs import config_fields, key
-from asymloc.losses import LossFamily, LossSpec, irls_weight, soft_threshold_bias
+from asymloc.losses import LossFamily, LossSpec, irls_weight
 from asymloc.observability import CurvatureSample, classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
-from asymloc.sim_env import ChannelDraw, Scenario, get_preset, observe_with_draw, sample_channel
+from asymloc.sim_env import PRESETS, ChannelDraw, Scenario, observe_with_draw, sample_channel
 from arrays import cov_of
 
 
@@ -132,7 +132,7 @@ class TestRunSingle:
         assert (res.errors[30:] < 0.01).all()
 
     def test_deterministic_per_seed(self):
-        sc = get_preset("canonical_medium")
+        sc = PRESETS["canonical_medium"]
         sc = dataclasses.replace(sc, steps=50)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         pcfg = PlannerConfig(arena=sc.arena)
@@ -143,7 +143,7 @@ class TestRunSingle:
         assert np.array_equal(r1.bias_r, r2.bias_r)
 
     def test_trajectory_stays_in_arena(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=120)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=120)
         pcfg = PlannerConfig(arena=sc.arena)
         for planner in ("passive", "reactive", "fim"):
             fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
@@ -154,7 +154,7 @@ class TestRunSingle:
     def test_recorded_cost_isolates_planner_work(self):
         # filter and environment work is shared across planners; if it leaked
         # into planner_cost the cheap/expensive ratio would collapse toward 1
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=80)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=80)
         pcfg = PlannerConfig(arena=sc.arena, candidate_count=16)
         costs = {}
         for planner in ("passive", "fim"):
@@ -164,7 +164,7 @@ class TestRunSingle:
         assert costs["fim"] > 3.0 * costs["passive"]
 
     def test_lambda_min_series_recorded(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=40)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=40)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(World(sc, 2), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.lambda_min.shape == (40,)
@@ -192,7 +192,7 @@ class TestRunSingle:
                 m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(World, "observe", nan_at_k)
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at == k
@@ -213,7 +213,7 @@ class TestRunSingle:
                 m_rtt = m_rtt._replace(value=math.nan)
             return m_rtt, m_aoa, draw, clamped
         monkeypatch.setattr(World, "observe", nan_at_k)
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=20)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
         assert res.aborted_at == k
@@ -233,7 +233,7 @@ class TestRunSingle:
         def broken(self, agent, estimate=None):
             raise ValueError("planner fault")
         monkeypatch.setattr(LawnmowerPlanner, "next_pose", broken)
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=5)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         with pytest.raises(ValueError, match="planner fault"):
             run_single(World(sc, 0), fc, "passive", PlannerConfig(arena=sc.arena))
@@ -241,7 +241,7 @@ class TestRunSingle:
 
 class TestWorld:
     def test_memo_hit_returns_the_stored_observation(self):
-        sc = get_preset("obstacle")
+        sc = PRESETS["obstacle"]
         world = World(sc, 5)
         first = world.observe(np.array(sc.start), 0)
         second = world.observe((10.0, 10.0), 0)
@@ -254,7 +254,7 @@ class TestWorld:
     def test_two_poses_at_one_step_see_the_same_draws(self):
         # without an obstacle the channel does not depend on the pose, so
         # two poses observed at one step get the same channel realization
-        sc = get_preset("canonical_medium")
+        sc = PRESETS["canonical_medium"]
         world = World(sc, 3)
         for t in range(4):
             a = world.observe((10.0 + t, 10.0), t)
@@ -265,7 +265,7 @@ class TestWorld:
         assert len(world.draws) == 4
 
     def test_other_poses_are_observed_from_the_steps_draws(self):
-        sc = get_preset("obstacle")
+        sc = PRESETS["obstacle"]
         world = World(sc, 9)
         world.observe(sc.start, 0)
         for pose in ((50.0, 10.0), (20.0, 70.0)):
@@ -277,7 +277,7 @@ class TestWorld:
     def test_step_records_are_immutable(self):
         # the memo hands one step's records to every cell of a run index, so
         # no cell may change them under the next
-        sc = get_preset("canonical_medium")
+        sc = PRESETS["canonical_medium"]
         world = World(sc, 2)
         m_rtt, _, draw, _ = world.observe(sc.start, 0)
         cfg = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
@@ -320,17 +320,17 @@ class TestPositionalRecords:
         diag, spec, r, jac = self.one_round_update(Modality.RTT, value)
         w = irls_weight(r, spec)
         assert w < 1.0  # every field but skipped differs from its default
-        assert_same_record(diag, UpdateDiagnostics(
-            modality=Modality.RTT, residual=r, weight=w, saturated=True,
-            implied_bias=soft_threshold_bias(r, spec), jacobian_pos=jac, skipped=False))
+        assert_same_record(diag, UpdateDiagnostics(residual=r, weight=w, jacobian_pos=jac,
+                                                   skipped=False))
+        assert diag.saturated
 
     def test_applied_bearing_update(self):
         value = h_aoa((50.0, 45.0), self.AGENT) + 0.3
         diag, spec, r, jac = self.one_round_update(Modality.AOA, value)
         w = irls_weight(r, spec)
-        assert_same_record(diag, UpdateDiagnostics(
-            modality=Modality.AOA, residual=r, weight=w, saturated=w < 1.0,
-            implied_bias=None, jacobian_pos=jac, skipped=False))
+        assert_same_record(diag, UpdateDiagnostics(residual=r, weight=w, jacobian_pos=jac,
+                                                   skipped=False))
+        assert diag.saturated is (w < 1.0)
 
     @pytest.mark.parametrize("modality,estimate", [
         (Modality.RTT, (10.0, 20.0)),   # on the agent
@@ -343,15 +343,17 @@ class TestPositionalRecords:
         z = Measurement(modality, 1.0, self.AGENT)
         st2, diag = update(st, z, cfg)
         assert st2 is st
-        assert_same_record(diag, UpdateDiagnostics(modality, skipped=True))
+        assert_same_record(diag, UpdateDiagnostics(skipped=True))
+        assert not diag.saturated
 
     def test_classify_residual(self):
         spec = LossSpec.one_sided(sigma=1.5, lam=1.0)
-        assert_same_record(classify_residual(2 * spec.tau, spec, (0.6, 0.8)),
-                           CurvatureSample(jacobian=(0.6, 0.8), weight=0.0, saturated=True))
-        assert_same_record(classify_residual(-2 * spec.tau, spec, (0.6, 0.8)),
-                           CurvatureSample(jacobian=(0.6, 0.8), weight=1.0 / 1.5**2,
-                                           saturated=False))
+        saturated = classify_residual(2 * spec.tau, spec, (0.6, 0.8))
+        assert_same_record(saturated, CurvatureSample(jacobian=(0.6, 0.8), weight=0.0))
+        assert saturated.saturated
+        trusted = classify_residual(-2 * spec.tau, spec, (0.6, 0.8))
+        assert_same_record(trusted, CurvatureSample(jacobian=(0.6, 0.8), weight=1.0 / 1.5**2))
+        assert not trusted.saturated
 
     @pytest.mark.parametrize("u_shared,u_aoa", [(0.2, 0.7), (0.7, 0.2)])
     def test_sample_channel_and_observe_with_draw(self, u_shared, u_aoa):
@@ -382,7 +384,7 @@ class TestGrid:
         # a shared world must give each run the observations it would make
         # by itself: every per-step series (bar the wall-clock cost) equal to
         # the bit, at one worker and at two
-        sc = dataclasses.replace(get_preset(preset), steps=60)
+        sc = dataclasses.replace(PRESETS[preset], steps=60)
         grid = GridSpec(scenario=sc, filters=("proposed", "huber", "ekf"),
                         planners=("passive", "reactive", "fim"), n_runs=3)
         grids = [run_grid(grid), run_grid(dataclasses.replace(grid, n_jobs=2))]
@@ -411,14 +413,14 @@ class TestGrid:
         assert GridSpec(scenario=sc, planner_cfg=PlannerConfig(arena=200.0)).n_runs == 50
 
     def test_repeated_cells_rejected(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=5)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=5)
         with pytest.raises(ValueError, match="filters: repeated entries"):
             GridSpec(scenario=sc, filters=("proposed", "proposed"))
         with pytest.raises(ValueError, match="planners: repeated entries"):
             GridSpec(scenario=sc, planners=("passive", "fim", "passive"))
 
     def test_prefix_consistency_in_run_count(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=30)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=30)
         small = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=2)
         big = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=4)
         res_small = run_grid(small)[("proposed", "reactive")]
@@ -427,7 +429,7 @@ class TestGrid:
             assert np.array_equal(res_small.runs[i].errors, res_big.runs[i].errors)
 
     def test_parallel_equals_sequential(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=30)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=30)
         g1 = GridSpec(scenario=sc, filters=("proposed", "ekf"), planners=("passive",),
                       n_runs=3, n_jobs=1)
         g2 = dataclasses.replace(g1, n_jobs=2)
@@ -477,7 +479,7 @@ class TestGrid:
 
 
 class TestSweep:
-    BASE = GridSpec(scenario=dataclasses.replace(get_preset("canonical_medium"), steps=25),
+    BASE = GridSpec(scenario=dataclasses.replace(PRESETS["canonical_medium"], steps=25),
                     filters=("proposed",), planners=("passive", "reactive"), n_runs=2)
 
     def test_row_shape(self):
@@ -549,7 +551,7 @@ class TestSweep:
 
 class TestCsvOutput:
     def _metrics(self):
-        sc = dataclasses.replace(get_preset("canonical_medium"), steps=12)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=12)
         grid = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=2)
         return run_grid(grid)[("proposed", "reactive")]
 
@@ -580,7 +582,7 @@ class TestCsvOutput:
         assert "combination" in table and "proposed (reactive)" in table
 
     def test_sweep_csv(self, tmp_path):
-        base = GridSpec(scenario=dataclasses.replace(get_preset("canonical_medium"), steps=10),
+        base = GridSpec(scenario=dataclasses.replace(PRESETS["canonical_medium"], steps=10),
                         filters=("proposed",), planners=("reactive",), n_runs=1)
         rows = sweep("eta", [4.0, 5.0], base)
         path = tmp_path / "sweep.csv"

@@ -9,10 +9,10 @@ from hypothesis import strategies as hst
 
 from asymloc import filters
 from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
-                             FilterParams, Measurement, RobustEkf, init_state, make_filter_config,
-                             predict, update)
+                             FilterParams, Measurement, RobustEkf, UpdateDiagnostics, init_state,
+                             make_filter_config, predict, update)
 from asymloc.geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, wrap_angle
-from asymloc.losses import LossSpec, loss
+from asymloc.losses import LossSpec, loss, soft_threshold_bias
 from arrays import belief, cov_of, mean_of
 
 
@@ -150,6 +150,11 @@ class TestUpdate:
         gain_big = np.linalg.norm(mean_of(st_big) - mean_of(base)) / (10.0 * tau)
         assert gain_big == pytest.approx(0.1 * gain_small, rel=0.02)
 
+    @pytest.mark.parametrize("weight", [1.0, 0.9999999999999999, 1e-12])
+    def test_saturated_is_derived_from_the_weight(self, weight):
+        assert UpdateDiagnostics._fields == ("residual", "weight", "jacobian_pos", "skipped")
+        assert UpdateDiagnostics(weight=weight).saturated is (weight < 1.0)
+
     def test_coincident_estimate_skips(self):
         cfg = one_sided_config()
         st = init_state(cfg, (10.0, 10.0))
@@ -168,8 +173,8 @@ class TestUpdate:
             _, diag = update(init_state(cfg, (10.0 + distance, 10.0)), z, cfg)
             assert diag.skipped is skipped, distance
 
-    def test_rtt_diagnostics_carry_implied_bias(self):
-        cfg = one_sided_config()
+    def test_saturated_rtt_update_puts_its_bias_in_the_em_window(self):
+        cfg = one_sided_config(em_enabled=True)
         st = belief(mean_of(init_state(cfg, (50.0, 50.0))),
                             np.diag([1.0, 1.0, 0.5, 0.01]))  # converged-filter regime
         agent = (10.0, 10.0)
@@ -177,8 +182,11 @@ class TestUpdate:
         st2, diag = update(st, z, cfg)
         assert diag.saturated
         assert diag.weight == pytest.approx(cfg.rtt_loss.tau / diag.residual, rel=1e-12)
-        # the reported bias solves the soft threshold at the reported residual
-        assert diag.implied_bias == pytest.approx(max(0.0, diag.residual - cfg.rtt_loss.tau), abs=1e-12)
+        # the wrapper solves the soft threshold at the reported residual
+        filt = RobustEkf(cfg, (50.0, 50.0))
+        filt.state = st
+        assert filt.update(z) == diag
+        assert filt._bias_window == [diag.residual - cfg.rtt_loss.tau]
 
 
 def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
@@ -457,7 +465,7 @@ class TestRobustEkfWrapper:
         biases = []
         for _ in range(5):
             diag = filt.update(Measurement(Modality.RTT, d + 3.0, agent))
-            biases.append(diag.implied_bias)
+            biases.append(soft_threshold_bias(diag.residual, cfg.rtt_loss))
         assert filt.config.rtt_loss.slope == pytest.approx(1.0 / np.mean(biases), rel=1e-9)
 
     def test_em_keeps_rate_without_bias_evidence(self):
@@ -470,3 +478,28 @@ class TestRobustEkfWrapper:
         for _ in range(3):
             filt.update(Measurement(Modality.RTT, d, agent))  # zero residuals
         assert filt.config.rtt_loss == cfg.rtt_loss
+
+    def test_em_refresh_uses_the_threshold_the_update_applied(self):
+        cfg = one_sided_config(em_enabled=True, em_window=1,
+                               rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0))
+        filt = RobustEkf(cfg, (50.0, 50.0))
+        filt.state = belief(mean_of(filt.state), 1e-6 * np.eye(4))
+        agent = (10.0, 10.0)
+        diag = filt.update(Measurement(Modality.RTT, h_rtt((50.0, 50.0), agent) + 3.0, agent))
+        assert diag.saturated
+        tau_before = cfg.rtt_loss.tau
+        assert filt.config.rtt_loss == LossSpec.one_sided(1.0, lam=1.0 / (diag.residual - tau_before))
+        assert filt.config.rtt_loss.tau != tau_before
+        assert filt._bias_window == []
+
+    @pytest.mark.parametrize("kind", ["huber", "ekf"])
+    def test_em_leaves_a_loss_that_is_not_one_sided(self, kind):
+        cfg = make_filter_config(kind, 1.0, 0.035, FilterParams(em_enabled=True, em_window=3))
+        filt = RobustEkf(cfg, (50.0, 50.0))
+        filt.state = belief(mean_of(filt.state), 1e-6 * np.eye(4))
+        agent = (10.0, 10.0)
+        d = h_rtt((50.0, 50.0), agent)
+        for _ in range(2 * cfg.params.em_window + 1):
+            assert not filt.update(Measurement(Modality.RTT, d + 3.0, agent)).skipped
+        assert filt.config.rtt_loss == cfg.rtt_loss
+        assert filt._bias_window == []

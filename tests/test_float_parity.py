@@ -28,7 +28,7 @@ from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, FilterDivergenceError,
                              predict, update)
 from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, linearize,
                               wrap_angle)
-from asymloc.losses import LossFamily, irls_weight, soft_threshold_bias
+from asymloc.losses import irls_weight
 from asymloc.observability import eig_sym
 from asymloc.planners import PlannerConfig, fim, fim_e_optimal, reactive_crossing
 from arrays import belief, cov_of, mean_of
@@ -63,11 +63,11 @@ def ref_update(state, z, config):
         try:
             if (z.modality is Modality.AOA
                     and h_rtt(xi[:2], z.agent) < MIN_AOA_RANGE):
-                return state, UpdateDiagnostics(z.modality, skipped=True)
+                return state, UpdateDiagnostics(skipped=True)
             pred = (h_rtt if z.modality is Modality.RTT else h_aoa)(xi[:2], z.agent)
             J = ref_jacobian(z.modality, xi[:2], z.agent)
         except CoincidentPointsError:
-            return state, UpdateDiagnostics(z.modality, skipped=True)
+            return state, UpdateDiagnostics(skipped=True)
         r = z.value - pred - xi[d_idx]
         if z.modality is Modality.AOA:
             r = wrap_angle(r)
@@ -82,12 +82,7 @@ def ref_update(state, z, config):
     IKH = np.eye(4) - np.outer(K, H)
     cov = IKH @ P @ IKH.T + np.outer(K, K) * R_eff
     cov = 0.5 * (cov + cov.T)
-    implied = None
-    if z.modality is Modality.RTT and spec.family is LossFamily.ONE_SIDED:
-        implied = soft_threshold_bias(r, spec)
-    return belief(xi, cov), UpdateDiagnostics(z.modality, residual=r, weight=w,
-                                                      saturated=w < 1.0, implied_bias=implied,
-                                                      jacobian_pos=H[:2].copy())
+    return belief(xi, cov), UpdateDiagnostics(residual=r, weight=w, jacobian_pos=H[:2].copy())
 
 
 def ref_jacobian(modality, target, agent):
@@ -114,11 +109,11 @@ def ref_float_update(state, z, config):
     for _ in range(config.params.irls_iterations):
         try:
             if is_aoa and h_rtt(xi, agent) < MIN_AOA_RANGE:
-                return state, UpdateDiagnostics(modality, skipped=True)
+                return state, UpdateDiagnostics(skipped=True)
             pred = h(xi, agent)
             J = ref_jacobian(modality, xi, agent)
         except CoincidentPointsError:
-            return state, UpdateDiagnostics(modality, skipped=True)
+            return state, UpdateDiagnostics(skipped=True)
         j0, j1 = J.tolist()
         r = z.value - pred - xi[d]
         if is_aoa:
@@ -139,11 +134,8 @@ def ref_float_update(state, z, config):
     if not (all(map(math.isfinite, sum(cov, xi))) and min(variances) > 0.0):
         raise FilterDivergenceError(
             f"{modality.value} update gave mean {xi} and variances {variances}")
-    implied = None
-    if not is_aoa and spec.family is LossFamily.ONE_SIDED:
-        implied = soft_threshold_bias(r, spec)
-    return belief(np.array(xi), np.array(cov)), UpdateDiagnostics(
-        modality, residual=r, weight=w, saturated=w < 1.0, implied_bias=implied, jacobian_pos=J)
+    return belief(np.array(xi), np.array(cov)), UpdateDiagnostics(residual=r, weight=w,
+                                                                  jacobian_pos=J)
 
 
 def ref_reactive_crossing(agent, estimate, cfg):

@@ -17,7 +17,7 @@ SYM = LossSpec.symmetric(sigma=1.0, k=1.0)
 
 
 def sample(jx, jy, weight):
-    return CurvatureSample(np.array([jx, jy], dtype=float), weight, weight == 0.0)
+    return CurvatureSample(np.array([jx, jy], dtype=float), weight)
 
 
 class TestAccumulate:
@@ -40,7 +40,7 @@ class TestAccumulate:
 
     def test_single_sample_rank_one(self):
         j = np.array([0.6, 0.8])
-        rep = accumulate([CurvatureSample(j, 2.0, False)])
+        rep = accumulate([CurvatureSample(j, 2.0)])
         assert rep.lambda_min == pytest.approx(0.0, abs=1e-12)
         assert rep.lambda_max == pytest.approx(2.0 * (j @ j), rel=1e-12)
 
@@ -103,7 +103,7 @@ class TestCrossingImproves:
             rot = np.array([[c, -s], [s, c]])
             j = rot @ v_min
             w = float(rng.uniform(0.1, 2.0))
-            _, gain = crossing_improves(before, CurvatureSample(j, w, False))
+            _, gain = crossing_improves(before, CurvatureSample(j, w))
             assert gain > 0.0
 
 
@@ -120,6 +120,13 @@ class TestClassifyResidual:
     def test_symmetric_discards_both_tails(self):
         s = classify_residual(-2 * SYM.tau, SYM, np.array([1.0, 0.0]))
         assert s.saturated
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, 5e-324, 1.0])
+    def test_saturated_is_derived_from_the_weight(self, weight):
+        s = CurvatureSample((1.0, 0.0), weight)
+        assert s.saturated is (weight == 0.0)
+        with pytest.raises(TypeError):
+            CurvatureSample((1.0, 0.0), weight, weight == 0.0)
 
 
 class TestDegeneracyReproduction:
@@ -230,7 +237,7 @@ def none_term_entries(samples):
 
 JACOBIAN_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
                            st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=True))
-SAMPLE = st.builds(lambda j0, j1, w: CurvatureSample((j0, j1), w, w == 0.0),
+SAMPLE = st.builds(lambda j0, j1, w: CurvatureSample((j0, j1), w),
                    JACOBIAN_ENTRY, JACOBIAN_ENTRY,
                    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 10.0)))
 

@@ -12,7 +12,7 @@ from asymloc.observability import eig_sym
 from asymloc.planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfig,
                               ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                               reactive_crossing)
-from asymloc.sim_env import PRESETS, get_preset
+from asymloc.sim_env import PRESETS
 
 NOISE = {Modality.RTT: 1.5, Modality.AOA: 0.035}
 
@@ -223,7 +223,7 @@ def test_standoff_rule_makes_every_grid_decision(monkeypatch):
 
     monkeypatch.setattr(planners, "fim_e_optimal", recording)
     for preset in sorted(PRESETS):
-        scenario = dataclasses.replace(get_preset(preset), steps=300)
+        scenario = dataclasses.replace(PRESETS[preset], steps=300)
         run_grid(GridSpec(scenario=scenario, filters=("proposed", "huber"), planners=("fim",),
                           n_runs=4))
     assert len(decisions) == len(PRESETS) * 2 * 4 * 300

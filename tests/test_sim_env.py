@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
-from asymloc.sim_env import (PRESETS, Rect, Scenario, channel_draws, get_preset,
-                             observe_with_draw, sample_channel, segment_intersects_rect)
+from asymloc.sim_env import (PRESETS, Rect, Scenario, channel_draws, observe_with_draw,
+                             sample_channel, segment_intersects_rect)
 
 
 class TestRectAndSegments:
@@ -53,13 +53,9 @@ class TestRectAndSegments:
 class TestScenarioValidation:
     def test_presets_exist(self):
         assert set(PRESETS) == {"canonical_low", "canonical_medium", "canonical_high", "obstacle"}
-        assert get_preset("canonical_low").sigma_r == 0.5
-        assert get_preset("canonical_high").sigma_r == 2.5
-        assert get_preset("obstacle").obstacle is not None
-
-    def test_unknown_preset(self):
-        with pytest.raises(KeyError):
-            get_preset("nope")
+        assert PRESETS["canonical_low"].sigma_r == 0.5
+        assert PRESETS["canonical_high"].sigma_r == 2.5
+        assert PRESETS["obstacle"].obstacle is not None
 
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
@@ -186,7 +182,7 @@ class TestObserve:
         assert clamped_any
 
     def test_deterministic_given_seed(self):
-        sc = get_preset("canonical_medium")
+        sc = PRESETS["canonical_medium"]
         seq1 = []
         seq2 = []
         for seq, seed in ((seq1, 9), (seq2, 9)):
@@ -204,7 +200,7 @@ class TestObserve:
             assert -math.pi < m_aoa.value <= math.pi
 
     def test_measurement_metadata(self):
-        sc = get_preset("canonical_medium")
+        sc = PRESETS["canonical_medium"]
         rng = np.random.default_rng(12)
         m_rtt, m_aoa = observe_with_draw(sc, (20.0, 30.0), channel_draws(rng))[:2]
         assert m_rtt.modality is Modality.RTT

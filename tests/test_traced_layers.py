@@ -13,7 +13,7 @@ import numpy as np
 from asymloc import experiment
 from asymloc.experiment import GridSpec
 from asymloc.filters import FilterParams
-from asymloc.sim_env import get_preset
+from asymloc.sim_env import PRESETS
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -26,7 +26,7 @@ PLANNERS = ("passive", "reactive", "fim")
 
 def tiny_grid() -> GridSpec:
     # EM on with a short window, so the range loss is refreshed mid-run
-    return GridSpec(scenario=dataclasses.replace(get_preset("obstacle"), steps=STEPS),
+    return GridSpec(scenario=dataclasses.replace(PRESETS["obstacle"], steps=STEPS),
                     filters=FILTERS, planners=PLANNERS, n_runs=RUNS,
                     filter_params=FilterParams(em_enabled=True, em_window=5))
 
