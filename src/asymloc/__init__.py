@@ -1,12 +1,12 @@
 """Asymmetric robust localization: one-sided range filtering, observability
 diagnostics, and active search planners, with a seeded Monte Carlo harness."""
 
-from .geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, linearize, wrap_angle
+from .geometry import CoincidentPointsError, Measurement, Modality, linearize, wrap_angle
 from .losses import (LossFamily, LossSpec, NoNlosEvidenceError, WrongLossFamilyError,
                      em_update_lambda, irls_weight, k_from_lambda, lambda_from_k,
                      loss, loss_curvature, loss_grad, soft_threshold_bias)
 from .filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
-                      FilterParams, Measurement, RobustEkf, UpdateDiagnostics, init_state,
+                      FilterParams, RobustEkf, UpdateDiagnostics, init_state,
                       make_filter_config, predict, update)
 from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTracker,
                             accumulate, classify_residual, crossing_improves, eig_sym)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .geometry import CoincidentPointsError, Modality, linearize, wrap_angle
+from .geometry import CoincidentPointsError, Measurement, Modality, linearize, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
@@ -34,14 +34,6 @@ FILTER_KINDS = ("proposed", "huber", "ekf")
 # (Jacobian blows up as 1/d); below this predicted range the AoA update
 # is skipped like a coincident measurement
 MIN_AOA_RANGE = 1.0
-
-
-class Measurement(NamedTuple):
-    """One observation from a known agent position ``(x, y)``."""
-
-    modality: Modality
-    value: float
-    agent: tuple[float, float]
 
 
 class EstimatorState(NamedTuple):

@@ -2,16 +2,17 @@
 
 The world is a flat 2D plane (nadir-view abstraction: the agent flies at a
 known, constant altitude, so the vertical axis never enters the math). This
-module provides the observation functions for the two sensor modalities,
-each observation with its position Jacobian in one call (:func:`linearize`),
-and angle arithmetic. A point is anything indexable as ``p[0]``, ``p[1]``:
-an ``(x, y)`` tuple or a numpy array.
+module holds the one observation model, which the world measures and the
+filter linearizes through: :func:`linearize` predicts a :class:`Measurement`
+with its position Jacobian. Angle arithmetic completes it. A point is
+anything indexable as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or an array.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import NamedTuple
 
 TAU = 2.0 * math.pi
 
@@ -27,32 +28,20 @@ class Modality(Enum):
     AOA = "aoa"
 
 
-def h_rtt(target, agent) -> float:
-    """Ideal range observation: Euclidean distance from agent to target."""
-    return math.hypot(target[0] - agent[0], target[1] - agent[1])
+class Measurement(NamedTuple):
+    """One observation from a known agent position ``(x, y)``."""
 
-
-def h_aoa(target, agent) -> float:
-    """Ideal bearing observation: global bearing of the target seen from the
-    agent, ``atan2(dy, dx)`` in ``(-pi, pi]``.
-
-    Raises
-    ------
-    CoincidentPointsError
-        If target and agent coincide (bearing undefined).
-    """
-    dx, dy = target[0] - agent[0], target[1] - agent[1]
-    if dx == 0.0 and dy == 0.0:
-        raise CoincidentPointsError("bearing undefined for coincident target/agent")
-    return math.atan2(dy, dx)
+    modality: Modality
+    value: float
+    agent: tuple[float, float]
 
 
 def linearize(target, agent, bearing: bool = False) -> tuple[float, float, float, float]:
     """The observation at ``target`` seen from ``agent`` and its position
     Jacobian, from one distance evaluation: ``(prediction, range, j0, j1)``.
 
-    The prediction is the range (:func:`h_rtt`), or with ``bearing`` the
-    bearing (:func:`h_aoa`). The Jacobian is the gradient of the prediction
+    The prediction is the range d, or with ``bearing`` the bearing
+    ``atan2(dy, dx)``. The Jacobian is the gradient of the prediction
     w.r.t. the target position. For range it is the unit radial vector
     u = (target - agent) / d. For bearing it is the unit tangential vector
     (u rotated +90 degrees) scaled by 1/d. The two directions are orthogonal

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import operator
 
 _LIMITS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt), ("le", "<=", operator.le))
@@ -51,16 +52,20 @@ def _items(f: dataclasses.Field, value) -> tuple:
 
 
 def _check_value(f: dataclasses.Field, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is within the knob's bounds."""
+    """Raise ``ValueError`` unless ``value`` has the knob's type, length and bounds."""
     m = f.metadata
+    if value is not None and "make" in m and not isinstance(value, m["make"]):
+        raise ValueError(f"expected a {m['make'].__name__}, got {value!r}")
     items = () if value is None else _items(f, value)
-    if value is not None and not items:
-        raise ValueError("empty list")
+    if value is not None and (not items or len(items) != m.get("n", len(items))):
+        raise ValueError(f"expected {m['n']} values, got {len(items)}" if "n" in m else "empty list")
     if m["kind"] == "names" and len(set(items)) != len(items):
         raise ValueError(f"repeated entries in {','.join(items)}")
     for v in items:
         if "choices" in m and v not in m["choices"]:
             raise ValueError(f"unknown entry {v!r}; expected one of {m['choices']}")
+        if m["kind"] == "int" and not isinstance(v, numbers.Integral):
+            raise ValueError(f"expected an integer, got {v!r}")
         if m["kind"] in ("float", "int", "floats") and not math.isfinite(v):
             raise ValueError(f"expected a finite number, got {v}")
         for limit, symbol, holds in _LIMITS:

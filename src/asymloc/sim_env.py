@@ -3,9 +3,10 @@
 Each step the channel decides whether the direct path is blocked. Blocked
 (NLOS) steps add a strictly non-negative exponential bias to the range and
 a zero-mean Gaussian bias to the bearing, on top of the always-present
-systematic offsets and thermal noise. In the structured variant a
-rectangular obstacle forces NLOS whenever it cuts the agent-to-target
-segment, with a reduced stochastic rate elsewhere.
+systematic offsets and thermal noise, to the true values that the filter's
+model (:func:`~asymloc.geometry.linearize`) predicts. In the structured
+variant a rectangular obstacle forces NLOS whenever it cuts the
+agent-to-target segment, with a reduced stochastic rate elsewhere.
 
 Angles in `Scenario` are degrees (the configuration boundary); everything
 downstream of the ``*_rad`` properties is radians.
@@ -25,8 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Modality, h_aoa, h_rtt, wrap_angle
-from .filters import Measurement
+from .geometry import Measurement, Modality, linearize, wrap_angle
 from .knobs import check, knob
 
 
@@ -168,11 +168,10 @@ def observe_with_draw(scenario: Scenario, agent,
 
     Returns the pair plus the channel draw and whether the range had to be
     clamped at zero (noise can't make a physical range negative). Raises
-    ``CoincidentPointsError`` on the target itself.
+    ``CoincidentPointsError`` where ``linearize`` does for the bearing.
     """
     draw = sample_channel(scenario, agent, draws)
-    true_range = h_rtt(scenario.truth, agent)
-    true_bearing = h_aoa(scenario.truth, agent)
+    true_bearing, true_range, _, _ = linearize(scenario.truth, agent, True)
 
     y_rtt = true_range + scenario.delta_r + draw.b_r + draw.eps_r
     clamped = y_rtt < 0.0

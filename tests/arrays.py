@@ -1,11 +1,19 @@
-"""Array forms of the float records, for tests that compute with numpy.
+"""Array forms of the float records, for tests that compute with numpy, and
+the reference observation functions for tests that build measurements.
 
 The filter belief is two float tuples (``EstimatorState(m, p)``, ``p`` the
 10 distinct covariance entries row by row from the diagonal) and a
 curvature report keeps its 2x2 matrix as ``entries``; these helpers convert
 between those and arrays. :func:`belief` refuses a covariance that is not
 exactly symmetric, since only one triangle is kept.
+
+:func:`h_rtt` and :func:`h_aoa` compute the ideal range and bearing
+straight from ``math.hypot`` and ``math.atan2``, independently of
+``asymloc.geometry.linearize``, so a test's synthetic measurements are not
+built with the code under test.
 """
+
+import math
 
 import numpy as np
 
@@ -38,3 +46,13 @@ def matrix_of(report) -> np.ndarray:
     """A curvature report's ``[[a, b], [b, c]]`` from its ``entries``."""
     a, b, c = report.entries
     return np.array([[a, b], [b, c]])
+
+
+def h_rtt(target, agent) -> float:
+    """The distance from ``agent`` to ``target``."""
+    return math.hypot(target[0] - agent[0], target[1] - agent[1])
+
+
+def h_aoa(target, agent) -> float:
+    """The global bearing of ``target`` seen from ``agent``, ``atan2(dy, dx)``."""
+    return math.atan2(target[1] - agent[1], target[0] - agent[0])

@@ -16,14 +16,14 @@ import pytest
 
 from asymloc.cli import main as cli_main
 from asymloc.experiment import GridSpec, World, run_grid, run_single
-from asymloc.filters import Measurement, init_state, make_filter_config, predict, update
-from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
+from asymloc.filters import init_state, make_filter_config, predict, update
+from asymloc.geometry import Measurement, Modality, wrap_angle
 from asymloc.losses import LossSpec, k_from_lambda, lambda_from_k, loss, loss_grad
 from asymloc.observability import CurvatureSample, accumulate, crossing_improves
 from asymloc.planners import PlannerConfig, fim_e_optimal, reactive_crossing
 from asymloc.sim_env import PRESETS, Scenario
 
-from arrays import cov_of, matrix_of, mean_of
+from arrays import cov_of, h_aoa, h_rtt, matrix_of, mean_of
 from test_filters import independent_plain_ekf
 
 

@@ -13,15 +13,15 @@ from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregat
                                 format_table, run_grid, run_single, summary_fields,
                                 summary_rows, sweep, write_cell_csv, write_summary_csv,
                                 write_sweep_csv)
-from asymloc.filters import (FilterParams, Measurement, UpdateDiagnostics, init_state,
-                             make_filter_config, update)
-from asymloc.geometry import Modality, h_aoa, h_rtt, linearize, wrap_angle
+from asymloc.filters import (FilterParams, UpdateDiagnostics, init_state, make_filter_config,
+                             update)
+from asymloc.geometry import Measurement, Modality, linearize, wrap_angle
 from asymloc.knobs import config_fields, key
 from asymloc.losses import LossFamily, LossSpec, irls_weight
 from asymloc.observability import CurvatureSample, classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
 from asymloc.sim_env import PRESETS, ChannelDraw, Scenario, observe_with_draw, sample_channel
-from arrays import cov_of
+from arrays import cov_of, h_aoa, h_rtt
 
 
 @pytest.fixture
@@ -418,6 +418,12 @@ class TestGrid:
             GridSpec(scenario=sc, filters=("proposed", "proposed"))
         with pytest.raises(ValueError, match="planners: repeated entries"):
             GridSpec(scenario=sc, planners=("passive", "fim", "passive"))
+
+    def test_int_knob_refuses_a_fraction(self):
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=5)
+        with pytest.raises(ValueError, match="n_runs: expected an integer, got 2.5"):
+            GridSpec(scenario=sc, n_runs=2.5)
+        assert GridSpec(scenario=sc, n_runs=np.int64(3)).n_runs == 3
 
     def test_prefix_consistency_in_run_count(self):
         sc = dataclasses.replace(PRESETS["canonical_medium"], steps=30)

@@ -9,11 +9,11 @@ from hypothesis import strategies as hst
 
 from asymloc import filters
 from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
-                             FilterParams, Measurement, RobustEkf, UpdateDiagnostics, init_state,
+                             FilterParams, RobustEkf, UpdateDiagnostics, init_state,
                              make_filter_config, predict, update)
-from asymloc.geometry import CoincidentPointsError, Modality, h_aoa, h_rtt, wrap_angle
+from asymloc.geometry import CoincidentPointsError, Measurement, Modality, wrap_angle
 from asymloc.losses import LossSpec, loss, soft_threshold_bias
-from arrays import belief, cov_of, mean_of
+from arrays import belief, cov_of, h_aoa, h_rtt, mean_of
 
 
 def one_sided_config(rtt_loss=LossSpec.one_sided(sigma=1.0, lam=1.0), **params):

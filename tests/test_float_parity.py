@@ -8,9 +8,10 @@ bit, so it gets 1e-12 m. ``update`` replaced BLAS products by
 left-to-right float sums and expanded the Joseph form, so against the numpy
 version its mean and covariance get ``1e-12 * max(1, |ref|)`` per entry,
 with the same skip and saturation decisions. Against the float update that
-linearized through ``h_rtt``/``h_aoa`` and ``ref_jacobian`` (``ref_float_update``)
-it does the same operations in the same order, so everything must be equal
-bit for bit, and so must :func:`linearize` against those functions.
+linearized through the reference ``h_rtt``/``h_aoa`` (``arrays``) and
+``ref_jacobian`` (``ref_float_update``) it does the same operations in the
+same order, so everything must be equal bit for bit, and so must
+:func:`linearize` against those functions.
 ``predict`` adds the process noise to the float diagonal where the array
 version (``ref_predict``) added it through ``cov.flat``: equal bit for bit.
 """
@@ -24,14 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymloc.filters import (FILTER_KINDS, MIN_AOA_RANGE, FilterDivergenceError,
-                             Measurement, UpdateDiagnostics, init_state, make_filter_config,
-                             predict, update)
-from asymloc.geometry import (CoincidentPointsError, Modality, h_aoa, h_rtt, linearize,
-                              wrap_angle)
+                             UpdateDiagnostics, init_state, make_filter_config, predict, update)
+from asymloc.geometry import CoincidentPointsError, Measurement, Modality, linearize, wrap_angle
 from asymloc.losses import irls_weight
 from asymloc.observability import eig_sym
 from asymloc.planners import PlannerConfig, fim, fim_e_optimal, reactive_crossing
-from arrays import belief, cov_of, mean_of
+from arrays import belief, cov_of, h_aoa, h_rtt, mean_of
 
 NOISE = {Modality.RTT: 1.5, Modality.AOA: math.radians(2.0)}
 _DELTA_INDEX = {Modality.RTT: 2, Modality.AOA: 3}
@@ -382,10 +381,7 @@ def test_update_bit_identical_to_float_reference(kind, rounds, a, log_sd, pos, o
         z = Measurement(Modality.RTT, value, agent)
     else:
         if what != "aoa":
-            try:
-                pred = h_aoa(pos, agent) + offsets[1]
-            except CoincidentPointsError:
-                pred = 0.0
+            pred = h_aoa(pos, agent) + offsets[1]
             value = wrap_angle(pred + (math.pi if what == "aoa+pi" else -math.pi) + value)
         z = Measurement(Modality.AOA, value, agent)
     assert update_outcome(update, state, z, cfg) == update_outcome(ref_float_update, state, z, cfg)
@@ -418,7 +414,7 @@ def test_numpy_scalar_noise_scales_give_the_float_bits(kind):
 
 
 # ---------------------------------------------------------------------------
-# the one-call linearization against the functions it replaced in update
+# the one-call linearization against the independent references
 # ---------------------------------------------------------------------------
 
 coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -438,7 +434,7 @@ def outcome(fn, *args):
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(tx=coordinate, ty=coordinate, ax=coordinate, ay=coordinate)
-def test_linearize_bit_identical_to_h_and_jacobian(tx, ty, ax, ay):
+def test_linearize_bit_identical_to_reference(tx, ty, ax, ay):
     target, agent = (tx, ty), (ax, ay)
     for modality, h in ((Modality.RTT, h_rtt), (Modality.AOA, h_aoa)):
         got = outcome(linearize, target, agent, modality is Modality.AOA)

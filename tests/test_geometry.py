@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymloc.geometry import CoincidentPointsError, h_aoa, h_rtt, linearize, wrap_angle
+from asymloc.geometry import CoincidentPointsError, linearize, wrap_angle
+from asymloc.sim_env import Scenario, observe_with_draw
+from arrays import h_aoa, h_rtt
 
 
-def test_h_rtt_examples():
-    assert h_rtt((50, 50), (10, 10)) == pytest.approx(math.sqrt(3200), abs=1e-12)
-    assert h_rtt((3, 4), (0, 0)) == pytest.approx(5.0, abs=1e-12)
-    assert h_rtt((7.5, -2.0), (7.5, -2.0)) == 0.0
+def test_linearize_range_examples():
+    assert linearize((50, 50), (10, 10))[0] == pytest.approx(math.sqrt(3200), abs=1e-12)
+    assert linearize((3, 4), (0, 0))[:2] == (5.0, 5.0)
+    assert linearize((7.5, -2.0), (7.5, -1.0))[0] == 1.0
 
 
-def test_h_aoa_examples():
-    assert h_aoa((10, 0), (0, 0)) == pytest.approx(0.0, abs=1e-15)
-    assert h_aoa((0, 10), (0, 0)) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert h_aoa((-1, 0), (0, 0)) == pytest.approx(math.pi, abs=1e-15)
+def test_linearize_bearing_examples():
+    assert linearize((10, 0), (0, 0), True)[:2] == (0.0, 10.0)
+    assert linearize((0, 10), (0, 0), True)[0] == pytest.approx(math.pi / 2, abs=1e-15)
+    assert linearize((-1, 0), (0, 0), True)[0] == pytest.approx(math.pi, abs=1e-15)
 
 
-def test_h_aoa_coincident_raises():
+def test_observe_on_target_raises():
+    sc = Scenario(truth=(1.0, 2.0))
     with pytest.raises(CoincidentPointsError):
-        h_aoa((1.0, 2.0), (1.0, 2.0))
+        observe_with_draw(sc, (1.0, 2.0), (0.5, 0.5, 1.0, 0.0, 0.0, 0.0))
 
 
 def test_jacobian_examples():

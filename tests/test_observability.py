@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymloc.geometry import h_rtt, linearize
+from asymloc.geometry import linearize
 from asymloc.losses import LossSpec, loss
 from asymloc.observability import (CurvatureSample, SlidingCurvatureTracker, accumulate,
                                    classify_residual, crossing_improves, eig_sym)
-from arrays import matrix_of
+from arrays import h_rtt, matrix_of
 
 RTT = LossSpec.one_sided(sigma=1.0, lam=1.0)
 SYM = LossSpec.symmetric(sigma=1.0, k=1.0)

@@ -1,12 +1,19 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from asymloc.geometry import Modality, h_aoa, h_rtt, wrap_angle
+from asymloc import sim_env
+from asymloc.filters import init_state, make_filter_config, update
+from asymloc.geometry import CoincidentPointsError, Modality, linearize, wrap_angle
 from asymloc.sim_env import (PRESETS, Rect, Scenario, channel_draws, observe_with_draw,
                              sample_channel, segment_intersects_rect)
+from arrays import h_aoa, h_rtt
 
 
 class TestRectAndSegments:
@@ -64,6 +71,21 @@ class TestScenarioValidation:
             Scenario(sigma_r=-1.0)
         with pytest.raises(ValueError):
             Scenario(truth=(120.0, 50.0))
+
+    def test_obstacle_must_be_a_rect(self):
+        with pytest.raises(ValueError, match="obstacle: expected a Rect"):
+            Scenario(obstacle=(50.0, 35.0, 25.0, 8.0))
+
+    def test_obstacle_tuple_with_a_negative_extent_refused(self):
+        # Rect would refuse the extent; a plain tuple must not slip past it
+        with pytest.raises(ValueError, match="obstacle: expected a Rect"):
+            Scenario(obstacle=(50.0, 35.0, -25.0, 8.0))
+
+    def test_point_needs_exactly_two_values(self):
+        with pytest.raises(ValueError, match="truth: expected 2 values, got 3"):
+            Scenario(truth=(1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="start: expected 2 values, got 1"):
+            Scenario(start=(1.0,))
 
     def test_angle_conversions(self):
         sc = Scenario(delta_theta_deg=-3.0, sigma_theta_deg=2.0)
@@ -199,6 +221,20 @@ class TestObserve:
             _, m_aoa = observe_with_draw(sc, (90.0, 90.0), channel_draws(rng))[:2]
             assert -math.pi < m_aoa.value <= math.pi
 
+    def test_world_imports_nothing_from_the_estimator(self):
+        tree = ast.parse(inspect.getsource(sim_env))
+        modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names]
+        assert not [m for m in modules if m and m.split(".")[-1] == "filters"]
+
+    def test_next_to_the_target_raises_where_linearize_does(self):
+        # d = 1e-170 is not 0, but the bearing Jacobian's d * d underflows,
+        # so the world skips the step as the filter does for its estimate
+        sc = Scenario(truth=(0.0, 0.0))
+        with pytest.raises(CoincidentPointsError):
+            observe_with_draw(sc, (1e-170, 0.0), (0.5, 0.5, 1.0, 0.0, 0.0, 0.0))
+
     def test_measurement_metadata(self):
         sc = PRESETS["canonical_medium"]
         rng = np.random.default_rng(12)
@@ -206,3 +242,30 @@ class TestObserve:
         assert m_rtt.modality is Modality.RTT
         assert m_aoa.modality is Modality.AOA
         assert m_rtt.agent == (20.0, 30.0)
+
+
+coordinate = st.floats(0.0, 100.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(truth=st.tuples(coordinate, coordinate),
+       agent=st.tuples(st.floats(-50.0, 150.0), st.floats(-50.0, 150.0)),
+       shared=st.booleans(), kind=st.sampled_from(["proposed", "huber", "ekf"]))
+# linearize's bearing here is -pi, which the world wraps to pi
+@example(truth=(0.0, 0.0), agent=(1.0, 1e-300), shared=True, kind="proposed")
+def test_world_measures_what_the_filter_predicts(truth, agent, shared, kind):
+    # a clear line of sight with zero bias, noise and offsets: the world's
+    # measurements are linearize's predictions (the bearing wrapped to
+    # (-pi, pi]), and a filter at the truth sees zero residuals
+    assume(math.hypot(truth[0] - agent[0], truth[1] - agent[1]) >= 1.0)
+    sc = Scenario(truth=truth, delta_r=0.0, delta_theta_deg=0.0, shared_nlos_flag=shared)
+    m_rtt, m_aoa, draw, clamped = observe_with_draw(sc, agent, (1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+    assert not (draw.is_nlos or draw.is_nlos_aoa or clamped)
+    assert m_rtt.value == linearize(truth, agent)[0]
+    assert m_aoa.value == wrap_angle(linearize(truth, agent, True)[0])
+    cfg = make_filter_config(kind, sc.sigma_r, sc.sigma_theta_rad)
+    state = init_state(cfg, truth)
+    for z in (m_rtt, m_aoa):
+        _, diag = update(state, z, cfg)
+        assert not diag.skipped
+        assert diag.residual == 0.0
