@@ -13,8 +13,8 @@ from .observability import (CurvatureReport, CurvatureSample, SlidingCurvatureTr
 from .planners import (PLANNER_KINDS, FimPlanner, LawnmowerPlanner, PlannerConfig,
                        ReactiveCrossingPlanner, fim, fim_e_optimal, make_planner,
                        reactive_crossing)
-from .sim_env import (PRESETS, ChannelDraw, Rect, Scenario, channel_draws, observe_with_draw,
-                      sample_channel, segment_intersects_rect)
+from .sim_env import (PRESETS, ChannelDraw, Scenario, channel_draws, observe_with_draw,
+                      segment_intersects_rect)
 from .experiment import (GridSpec, RunMetrics, RunResult, SweepRow, aggregate, run_grid,
                          run_single, sweep)
 from .config import ConfigError, ExperimentConfig, dump_config, parse_config

@@ -300,11 +300,12 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     """Run every filter x planner cell of the grid.
 
     One job runs index ``i`` (seed ``scenario.seed + i``) in every cell
-    over one shared :class:`World`; with ``n_jobs > 1`` the jobs are fanned
-    out to a process pool: the one :func:`sweep` keeps open across its
-    values, or else one opened and shut down within this call. Cells are
-    reassembled in run-index order either way, so every run equals the run
-    made alone, at any worker count.
+    over one shared :class:`World`; with ``n_jobs > 1`` and more than one
+    run the jobs are fanned out to a process pool of at most ``n_runs``
+    workers: the one :func:`sweep` keeps open across its values, or else
+    one opened and shut down within this call. Cells are reassembled in
+    run-index order either way, so every run equals the run made alone, at
+    any worker count.
     """
     cells = [(f, p) for f in grid.filters for p in grid.planners]
     sc = grid.scenario
@@ -312,9 +313,10 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
                for f, p in cells]
     jobs = [(sc, configs, grid.planner_cfg, sc.seed + i) for i in range(grid.n_runs)]
 
-    if grid.n_jobs > 1:
-        with _process_pool(grid.n_jobs) as pool:
-            results = list(pool.map(_run_index, jobs, chunksize=max(1, len(jobs) // (8 * grid.n_jobs))))
+    n_jobs = min(grid.n_jobs, grid.n_runs)
+    if n_jobs > 1:
+        with _process_pool(n_jobs) as pool:
+            results = list(pool.map(_run_index, jobs, chunksize=max(1, len(jobs) // (8 * n_jobs))))
     else:
         results = [_run_index(j) for j in jobs]
 
@@ -349,15 +351,17 @@ def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[Sweep
 
     ``parameter`` must be one of ``SWEEP_PARAMETERS`` and every value must
     pass the knob's bounds (``ValueError`` before any run starts). With
-    ``base.n_jobs > 1`` one process pool serves every value's
-    :func:`run_grid` call and is shut down before this returns or raises.
+    ``base.n_jobs > 1`` and more than one run, one process pool of at most
+    ``n_runs`` workers serves every value's :func:`run_grid` call and is
+    shut down before this returns or raises.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     values = [float(v) for v in values]
     grids = [dataclasses.replace(base, **_swept(base, parameter, v)) for v in values]
     rows: list[SweepRow] = []
-    with _process_pool(base.n_jobs) if base.n_jobs > 1 else contextlib.nullcontext():
+    n_jobs = min(base.n_jobs, base.n_runs)
+    with _process_pool(n_jobs) if n_jobs > 1 else contextlib.nullcontext():
         for v, grid in zip(values, grids):
             for cell in run_grid(grid).values():
                 rows.append(SweepRow(v, cell.combination, cell.metrics))

@@ -8,9 +8,9 @@ flags built on them (:mod:`asymloc.config`, :mod:`asymloc.cli`).
 
 Kinds: ``float``, ``int``, ``bool``, ``text`` (inferred from the default),
 ``name`` (one of ``choices``) and the comma lists ``floats`` and ``names``
-(distinct names). A list of fixed length ``n`` may name a constructor
-``make`` for its values, and with a ``None`` default it also accepts
-``none``. Numbers must be finite.
+(distinct names); a knob's value is what its text parses to, so a list
+is a tuple. A list of fixed length ``n`` with a ``None`` default also
+accepts ``none``. Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _EXPECTED = {"float": "a number", "int": "an integer", "bool": "a boolean"}
 def knob(default=dataclasses.MISSING, section=None, *, key=None, kind=None, **limits):
     """A dataclass field read from ``[section] key`` (``key`` defaults to the
     field's name; with no section the field has bounds but no config key).
-    ``limits`` are ``ge``, ``gt``, ``le``, ``choices``, ``n`` and ``make``."""
+    ``limits`` are ``ge``, ``gt``, ``le``, ``choices`` and ``n``."""
     return dataclasses.field(default=default, metadata={
         "section": section, "key": key, "kind": kind or _KINDS[type(default)], **limits})
 
@@ -46,16 +46,12 @@ def key(f: dataclasses.Field) -> str:
 
 
 def _items(f: dataclasses.Field, value) -> tuple:
-    if f.metadata["kind"] not in _LIST_OF:
-        return (value,)
-    return dataclasses.astuple(value) if dataclasses.is_dataclass(value) else tuple(value)
+    return tuple(value) if f.metadata["kind"] in _LIST_OF else (value,)
 
 
 def _check_value(f: dataclasses.Field, value) -> None:
     """Raise ``ValueError`` unless ``value`` has the knob's type, length and bounds."""
     m = f.metadata
-    if value is not None and "make" in m and not isinstance(value, m["make"]):
-        raise ValueError(f"expected a {m['make'].__name__}, got {value!r}")
     items = () if value is None else _items(f, value)
     if value is not None and (not items or len(items) != m.get("n", len(items))):
         raise ValueError(f"expected {m['n']} values, got {len(items)}" if "n" in m else "empty list")
@@ -79,7 +75,7 @@ def check(obj) -> None:
         if f.metadata:
             try:
                 _check_value(f, getattr(obj, f.name))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{f.name}: {exc}") from None
 
 
@@ -106,7 +102,6 @@ def parse(f: dataclasses.Field, raw: str):
         elif len(parts) != m["n"]:
             raise ValueError(f"expected {m['n']} comma-separated values, got {raw!r}")
         value = tuple(_scalar(_LIST_OF[m["kind"]], s) for s in parts)
-        value = m["make"](*value) if "make" in m else value
     _check_value(f, value)
     return value
 

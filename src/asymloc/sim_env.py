@@ -30,32 +30,18 @@ from .geometry import Measurement, Modality, linearize, wrap_angle
 from .knobs import check, knob
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle: center plus half extents, meters."""
-
-    cx: float
-    cy: float
-    half_width: float
-    half_height: float
-
-    def __post_init__(self):
-        if self.half_width <= 0.0 or self.half_height <= 0.0:
-            raise ValueError("rectangle extents must be positive")
-
-
-def segment_intersects_rect(a, b, rect: Rect) -> bool:
-    """True iff the closed segment a-b meets the closed rectangle.
+def segment_intersects_rect(a, b, rect) -> bool:
+    """True iff the closed segment a-b meets the closed axis-aligned
+    rectangle ``rect = (cx, cy, half_width, half_height)``, meters.
 
     Standard slab clipping: intersect the segment's parameter interval
     [0, 1] with the slabs of both axes.
     """
-    ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
+    cx, cy, half_width, half_height = rect
     t0, t1 = 0.0, 1.0
     for p0, dp, lo, hi in (
-        (ax, bx - ax, rect.cx - rect.half_width, rect.cx + rect.half_width),
-        (ay, by - ay, rect.cy - rect.half_height, rect.cy + rect.half_height),
+        (a[0], b[0] - a[0], cx - half_width, cx + half_width),
+        (a[1], b[1] - a[1], cy - half_height, cy + half_height),
     ):
         if dp == 0.0:
             if p0 < lo or p0 > hi:
@@ -76,9 +62,10 @@ def segment_intersects_rect(a, b, rect: Rect) -> bool:
 class Scenario:
     """World plus channel configuration for one experiment.
 
-    ``p_nlos`` drives the stochastic channel; with an ``obstacle`` set the
-    blockage is geometric instead and ``p_nlos_clear`` applies on clear
-    lines of sight. One blockage coin per step covers both modalities
+    ``p_nlos`` drives the stochastic channel; with an ``obstacle``
+    ``(cx, cy, half_width, half_height)`` set (meters, positive half
+    extents) the blockage is geometric instead and ``p_nlos_clear`` applies
+    on clear lines of sight. One blockage coin per step covers both modalities
     unless ``shared_nlos_flag`` is off.
     """
 
@@ -93,7 +80,7 @@ class Scenario:
     sigma_r: float = knob(1.5, "scenario", gt=0.0)
     sigma_theta_deg: float = knob(2.0, "scenario", gt=0.0)
     steps: int = knob(300, "experiment", ge=1)
-    obstacle: Optional[Rect] = knob(None, "scenario", kind="floats", n=4, make=Rect)
+    obstacle: Optional[tuple[float, float, float, float]] = knob(None, "scenario", kind="floats", n=4)
     p_nlos_clear: float = knob(0.1, "scenario", ge=0.0, le=1.0)
     shared_nlos_flag: bool = knob(True, "scenario", key="shared_nlos")
     seed: int = knob(0, "experiment")
@@ -104,6 +91,8 @@ class Scenario:
             x, y = point
             if not (0.0 <= x <= self.arena and 0.0 <= y <= self.arena):
                 raise ValueError(f"{label} {point} outside the {self.arena} m arena")
+        if self.obstacle is not None and min(self.obstacle[2:]) <= 0.0:
+            raise ValueError(f"obstacle: half extents must be > 0, got {self.obstacle}")
 
     @property
     def delta_theta_rad(self) -> float:
@@ -119,10 +108,10 @@ class Scenario:
 
 
 class ChannelDraw(NamedTuple):
-    """One step's channel realization. ``b_r`` is never negative
-    (:func:`sample_channel` checks it): a blocked path can only lengthen the
-    measured range. ``is_nlos_aoa`` equals ``is_nlos`` under the shared-coin
-    default."""
+    """One step's channel realization, as :func:`observe_with_draw` samples
+    it. ``b_r`` is never negative (checked there, since the draws are caller
+    input): a blocked path can only lengthen the measured range.
+    ``is_nlos_aoa`` equals ``is_nlos`` under the shared-coin default."""
 
     is_nlos: bool
     b_r: float
@@ -140,10 +129,18 @@ def channel_draws(rng: np.random.Generator) -> tuple:
             rng.standard_normal(), rng.standard_normal(), rng.standard_normal())
 
 
-def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
-    """One step of the channel at the given agent pose, from the step's
-    :func:`channel_draws`. All six draws are used whatever the pose;
-    parameter values only scale or gate them."""
+def observe_with_draw(scenario: Scenario, agent,
+                      draws: tuple) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
+    """Sample the step's channel at the agent position ``(x, y)`` from the
+    step's :func:`channel_draws` (all six are used whatever the pose;
+    parameter values only scale or gate them), and generate the (range,
+    bearing) measurement pair taken from there (the measurements keep the
+    position as given).
+
+    Returns the pair plus the channel draw and whether the range had to be
+    clamped at zero (noise can't make a physical range negative). Raises
+    ``CoincidentPointsError`` where ``linearize`` does for the bearing.
+    """
     u_shared, u_aoa, e_bias, z_btheta, z_r, z_theta = draws
     if scenario.obstacle is not None:
         blocked = segment_intersects_rect(agent, scenario.truth, scenario.obstacle)
@@ -155,22 +152,9 @@ def sample_channel(scenario: Scenario, agent, draws: tuple) -> ChannelDraw:
     b_r = scenario.mu_nlos * e_bias if is_nlos else 0.0
     if b_r < 0.0:
         raise ValueError("range NLOS bias must be non-negative")
-    return tuple.__new__(ChannelDraw, (
+    draw = tuple.__new__(ChannelDraw, (
         is_nlos, b_r, scenario.sigma_b_theta_rad * z_btheta if is_nlos_aoa else 0.0,
         scenario.sigma_r * z_r, scenario.sigma_theta_rad * z_theta, is_nlos_aoa))
-
-
-def observe_with_draw(scenario: Scenario, agent,
-                      draws: tuple) -> tuple[Measurement, Measurement, ChannelDraw, bool]:
-    """Generate the step's (range, bearing) measurement pair, taken from the
-    agent position ``(x, y)`` (which the measurements keep as given), from
-    the step's :func:`channel_draws`.
-
-    Returns the pair plus the channel draw and whether the range had to be
-    clamped at zero (noise can't make a physical range negative). Raises
-    ``CoincidentPointsError`` where ``linearize`` does for the bearing.
-    """
-    draw = sample_channel(scenario, agent, draws)
     true_bearing, true_range, _, _ = linearize(scenario.truth, agent, True)
 
     y_rtt = true_range + scenario.delta_r + draw.b_r + draw.eps_r
@@ -187,5 +171,5 @@ PRESETS = {
     "canonical_low": Scenario(sigma_r=0.5),
     "canonical_medium": Scenario(sigma_r=1.5),
     "canonical_high": Scenario(sigma_r=2.5),
-    "obstacle": Scenario(sigma_r=1.5, obstacle=Rect(50.0, 35.0, 25.0, 8.0), p_nlos_clear=0.1),
+    "obstacle": Scenario(sigma_r=1.5, obstacle=(50.0, 35.0, 25.0, 8.0), p_nlos_clear=0.1),
 }

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import re
 import time
 
@@ -14,7 +15,7 @@ from asymloc.config import ExperimentConfig, SweepSpec
 from asymloc.experiment import SWEEP_PARAMETERS
 from asymloc.filters import FilterParams
 from asymloc.planners import PlannerConfig
-from asymloc.sim_env import PRESETS, Rect, Scenario
+from asymloc.sim_env import PRESETS, Scenario
 
 
 MINIMAL = "[experiment]\npreset = canonical_medium\n"
@@ -80,7 +81,7 @@ class TestParseConfig:
         assert cfg.scenario.steps == 42
         assert cfg.filters == ("proposed",)
         assert cfg.scenario.p_nlos == 0.4
-        assert cfg.scenario.obstacle.half_height == 8.0
+        assert cfg.scenario.obstacle[3] == 8.0
         assert cfg.filter_params.k_rtt == 2.5
         assert cfg.planner_cfg.eta == 3.5
 
@@ -114,6 +115,21 @@ class TestParseConfig:
                 "[sweep]\nparameter = k_rtt\nvalues = 0.5,1.0\n")
         cfg = parse_config(text)
         assert parse_config(dump_config(cfg)) == cfg
+
+    # sha256 of the config.ini text each preset's minimal config dumps to, so
+    # a change of a knob's value type cannot change the written bytes; adding
+    # a key changes these on purpose
+    DUMP_DIGESTS = {
+        "canonical_high": "ed91abef16b67eb9bed28f4e2a20a623b3d9be7c5e9066aaa68692fb30f968dc",
+        "canonical_low": "a91945519fa68eba5ff44d80ec54414079251684991dbaeed025b84132cbd206",
+        "canonical_medium": "61eebddefe107aa569f26dc241aed761f59d7d61ab37f2c49c217508360dfc76",
+        "obstacle": "46c3a7e0ecf147b689addc6d1b7f7adecf7848e015a2eaacaca8b5780ee9be58",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_dump_config_text_is_pinned(self, preset):
+        text = dump_config(parse_config(f"[experiment]\npreset = {preset}\n"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DUMP_DIGESTS[preset]
 
 
 def run_cli(*argv):
@@ -374,7 +390,7 @@ def sweep_specs(parameter):
 def experiment_configs(draw, preset):
     arena = draw(st.floats(min_value=1e-6, max_value=1e6))
     point = st.tuples(*[st.floats(min_value=0.0, max_value=arena)] * 2)
-    rect = st.builds(Rect, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+    rect = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
                      st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
     scenario = dataclasses.replace(PRESETS[preset], **draw(knob_values(
         Scenario, arena=st.just(arena), truth=point, start=point,

@@ -20,19 +20,20 @@ from asymloc.knobs import config_fields, key
 from asymloc.losses import LossFamily, LossSpec, irls_weight
 from asymloc.observability import CurvatureSample, classify_residual
 from asymloc.planners import LawnmowerPlanner, PlannerConfig
-from asymloc.sim_env import PRESETS, ChannelDraw, Scenario, observe_with_draw, sample_channel
+from asymloc.sim_env import PRESETS, ChannelDraw, Scenario, observe_with_draw
 from arrays import cov_of, h_aoa, h_rtt
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every ``ProcessPoolExecutor`` built while the test runs."""
+    """The ``max_workers`` of every ``ProcessPoolExecutor`` built while the
+    test runs."""
     built = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return built
 
@@ -364,8 +365,6 @@ class TestPositionalRecords:
                            b_theta=sc.sigma_b_theta_rad * -0.4 if is_nlos_aoa else 0.0,
                            eps_r=sc.sigma_r * 0.3, eps_theta=sc.sigma_theta_rad * -0.6,
                            is_nlos_aoa=is_nlos_aoa)
-        assert_same_record(sample_channel(sc, self.AGENT, draws), want)
-
         m_rtt, m_aoa, draw, clamped = observe_with_draw(sc, self.AGENT, draws)
         assert_same_record(draw, want)
         assert not clamped
@@ -534,6 +533,19 @@ class TestSweep:
                 assert getattr(a.metrics, name).tobytes() == getattr(b.metrics, name).tobytes()
             assert (a.metrics.steps_to_threshold, a.metrics.n_runs) == \
                 (b.metrics.steps_to_threshold, b.metrics.n_runs)
+
+    def test_a_pool_has_no_more_workers_than_runs(self, pools):
+        # fork starts every worker at the first submit, so a pool wider than
+        # the run count would start workers that never get a run index
+        wide = dataclasses.replace(self.BASE, n_jobs=4)
+        run_grid(wide)
+        sweep("p_nlos", [0.2, 0.8], wide)
+        assert pools == [2, 2]
+        one = dataclasses.replace(wide, n_runs=1)
+        run_grid(one)
+        sweep("p_nlos", [0.2, 0.8], one)
+        assert pools == [2, 2]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched run_single")

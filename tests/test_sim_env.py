@@ -9,15 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asymloc import sim_env
+from asymloc.config import ConfigError, parse_config
 from asymloc.filters import init_state, make_filter_config, update
 from asymloc.geometry import CoincidentPointsError, Modality, linearize, wrap_angle
-from asymloc.sim_env import (PRESETS, Rect, Scenario, channel_draws, observe_with_draw,
-                             sample_channel, segment_intersects_rect)
+from asymloc.sim_env import (PRESETS, Scenario, channel_draws, observe_with_draw,
+                             segment_intersects_rect)
 from arrays import h_aoa, h_rtt
 
 
 class TestRectAndSegments:
-    RECT = Rect(50.0, 50.0, 10.0, 10.0)
+    RECT = (50.0, 50.0, 10.0, 10.0)
 
     def test_straight_through(self):
         assert segment_intersects_rect((0.0, 50.0), (100.0, 50.0), self.RECT)
@@ -42,14 +43,15 @@ class TestRectAndSegments:
         # walk many points along each segment; containment of any sample
         # implies intersection (one-sided check of the clipping result)
         rng = np.random.default_rng(3)
-        rect = Rect(40.0, 60.0, 12.0, 5.0)
+        rect = (40.0, 60.0, 12.0, 5.0)
+        cx, cy, half_width, half_height = rect
         for _ in range(300):
             a = rng.uniform(0, 100, 2)
             b = rng.uniform(0, 100, 2)
             ts = np.linspace(0.0, 1.0, 400)
             pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-            sampled_hit = bool(np.any((np.abs(pts[:, 0] - rect.cx) <= rect.half_width)
-                                      & (np.abs(pts[:, 1] - rect.cy) <= rect.half_height)))
+            sampled_hit = bool(np.any((np.abs(pts[:, 0] - cx) <= half_width)
+                                      & (np.abs(pts[:, 1] - cy) <= half_height)))
             clipped_hit = segment_intersects_rect(a, b, rect)
             if sampled_hit:
                 assert clipped_hit
@@ -71,15 +73,40 @@ class TestScenarioValidation:
             Scenario(sigma_r=-1.0)
         with pytest.raises(ValueError):
             Scenario(truth=(120.0, 50.0))
+        # a value of the wrong type is refused by name, as a ValueError
+        for field in ("obstacle", "truth"):
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                Scenario(**{field: 5})
 
-    def test_obstacle_must_be_a_rect(self):
-        with pytest.raises(ValueError, match="obstacle: expected a Rect"):
-            Scenario(obstacle=(50.0, 35.0, 25.0, 8.0))
+    def test_obstacle_is_the_four_floats_of_its_knob(self):
+        # the tuple its INI text parses to is the obstacle itself: it builds,
+        # equals the preset's, and blocks exactly where the preset does
+        sc = Scenario(sigma_r=1.5, obstacle=(50.0, 35.0, 25.0, 8.0), p_nlos_clear=0.1)
+        preset = PRESETS["obstacle"]
+        assert sc == preset
+        assert parse_config("[experiment]\npreset = obstacle\n[scenario]\n"
+                            "obstacle = 50,35,25,8\n").scenario == preset
+        draws = (0.5, 0.5, 1.0, 0.0, 0.0, 0.0)  # nlos only where blocked
+        blocked = 0
+        for x in np.linspace(0.0, 100.0, 41):
+            for y in np.linspace(0.0, 100.0, 41):
+                agent = (float(x), float(y))
+                if agent == sc.truth:
+                    continue
+                got = observe_with_draw(sc, agent, draws)[2]
+                assert got == observe_with_draw(preset, agent, draws)[2]
+                blocked += got.is_nlos
+        assert 0 < blocked < 41 * 41 - 1
 
     def test_obstacle_tuple_with_a_negative_extent_refused(self):
-        # Rect would refuse the extent; a plain tuple must not slip past it
-        with pytest.raises(ValueError, match="obstacle: expected a Rect"):
-            Scenario(obstacle=(50.0, 35.0, -25.0, 8.0))
+        # a rectangle with no interior is refused, in Python and through INI
+        for obstacle in ((50.0, 35.0, 0.0, 8.0), (50.0, 35.0, -25.0, 8.0),
+                         (50.0, 35.0, 25.0, 0.0), (50.0, 35.0, 25.0, -8.0)):
+            with pytest.raises(ValueError, match="obstacle: half extents must be > 0"):
+                Scenario(obstacle=obstacle)
+            text = ",".join(str(v) for v in obstacle)
+            with pytest.raises(ConfigError, match=r"^scenario: obstacle: half extents must be > 0"):
+                parse_config(f"[experiment]\npreset = obstacle\n[scenario]\nobstacle = {text}\n")
 
     def test_point_needs_exactly_two_values(self):
         with pytest.raises(ValueError, match="truth: expected 2 values, got 3"):
@@ -118,49 +145,50 @@ class TestSampleChannel:
         sc = Scenario(p_nlos=0.0)
         rng = np.random.default_rng(0)
         for _ in range(500):
-            d = sample_channel(sc, sc.start, channel_draws(rng))
+            d = observe_with_draw(sc, sc.start, channel_draws(rng))[2]
             assert not d.is_nlos
             assert d.b_r == 0.0 and d.b_theta == 0.0
 
     def test_bias_mean_matches_configuration(self):
         sc = Scenario(p_nlos=0.9, mu_nlos=8.0)
         rng = np.random.default_rng(1)
-        draws = [sample_channel(sc, sc.start, channel_draws(rng)) for _ in range(100_000)]
+        draws = [observe_with_draw(sc, sc.start, channel_draws(rng))[2] for _ in range(100_000)]
         nlos_b = [d.b_r for d in draws if d.is_nlos]
         assert np.mean(nlos_b) == pytest.approx(8.0, abs=0.1)
 
     def test_nlos_rate_within_one_percent(self):
         sc = Scenario(p_nlos=0.9)
         rng = np.random.default_rng(2)
-        hits = sum(sample_channel(sc, sc.start, channel_draws(rng)).is_nlos for _ in range(100_000))
+        hits = sum(observe_with_draw(sc, sc.start, channel_draws(rng))[2].is_nlos
+                   for _ in range(100_000))
         assert hits / 100_000 == pytest.approx(0.9, abs=0.01)
 
     def test_bias_never_negative(self):
         sc = Scenario(p_nlos=0.9, mu_nlos=8.0)
         rng = np.random.default_rng(3)
-        assert all(sample_channel(sc, sc.start, channel_draws(rng)).b_r >= 0.0
+        assert all(observe_with_draw(sc, sc.start, channel_draws(rng))[2].b_r >= 0.0
                    for _ in range(1_000_000))
         # a negative exponential draw is refused, not turned into a shorter range
         with pytest.raises(ValueError, match="non-negative"):
-            sample_channel(sc, sc.start, (0.0, 0.0, -1.0, 0.0, 0.0, 0.0))
+            observe_with_draw(sc, sc.start, (0.0, 0.0, -1.0, 0.0, 0.0, 0.0))
 
     def test_obstacle_forces_nlos(self):
-        rect = Rect(50.0, 50.0, 10.0, 10.0)
+        rect = (50.0, 50.0, 10.0, 10.0)
         sc = Scenario(truth=(80.0, 50.0), start=(10.0, 50.0), obstacle=rect, p_nlos_clear=0.0)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            assert sample_channel(sc, (10.0, 50.0), channel_draws(rng)).is_nlos
+            assert observe_with_draw(sc, (10.0, 50.0), channel_draws(rng))[2].is_nlos
 
     def test_obstacle_shadow_is_spatially_coherent(self):
         # with the clear-sky rate at zero the NLOS indicator is exactly the
         # segment-blockage predicate, however the agent moves
-        rect = Rect(50.0, 35.0, 25.0, 8.0)
+        rect = (50.0, 35.0, 25.0, 8.0)
         sc = Scenario(obstacle=rect, p_nlos_clear=0.0)
         rng = np.random.default_rng(5)
         for x in np.linspace(0.0, 100.0, 101):
             agent = (float(x), 20.0)
             expected = segment_intersects_rect(agent, sc.truth, rect)
-            assert sample_channel(sc, agent, channel_draws(rng)).is_nlos == expected
+            assert observe_with_draw(sc, agent, channel_draws(rng))[2].is_nlos == expected
 
     def test_draws_paired_across_parameter_values(self):
         # same seed, different channel parameters: the thermal noise samples
@@ -169,15 +197,15 @@ class TestSampleChannel:
         alt = dataclasses.replace(base, p_nlos=0.9, mu_nlos=15.0)
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(300):
-            d1 = sample_channel(base, base.start, channel_draws(r1))
-            d2 = sample_channel(alt, alt.start, channel_draws(r2))
+            d1 = observe_with_draw(base, base.start, channel_draws(r1))[2]
+            d2 = observe_with_draw(alt, alt.start, channel_draws(r2))[2]
             assert d1.eps_r == d2.eps_r
             assert d1.eps_theta == d2.eps_theta
 
     def test_independent_coins_when_not_shared(self):
         sc = Scenario(p_nlos=0.5, shared_nlos_flag=False)
         rng = np.random.default_rng(8)
-        draws = [sample_channel(sc, sc.start, channel_draws(rng)) for _ in range(2000)]
+        draws = [observe_with_draw(sc, sc.start, channel_draws(rng))[2] for _ in range(2000)]
         differing = sum(d.is_nlos != d.is_nlos_aoa for d in draws)
         assert differing > 200  # half-and-half coins disagree often
 
