@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import knobs
 from .config import SCHEMA, ConfigError, ExperimentConfig, dump_config, parse_config
-from .experiment import (format_table, run_grid, summary_rows, sweep, sweep_rows,
-                         write_cell_csv, write_summary_csv, write_sweep_csv)
+from .experiment import (format_table, run_grid, sweep, write_cell_csv, write_summary_csv,
+                         write_sweep_csv)
 
 
 def _add_key_flags(p: argparse.ArgumentParser, section: str) -> None:
@@ -74,13 +74,11 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 def cmd_run(cfg: ExperimentConfig) -> int:
     out = _output_dir(cfg)
     cells = list(run_grid(cfg).values())
-    seed = cfg.scenario.seed
     for cell in cells:
         path = out / f"{cell.filter_kind}_{cell.planner_kind}.csv"
-        write_cell_csv(path, cell.metrics, seed=seed, preset=cfg.preset, timing=cfg.timing)
-    write_summary_csv(out / "summary.csv", cells, seed=seed, preset=cfg.preset,
-                      timing=cfg.timing)
-    print(format_table(*summary_rows(cells, cfg.timing)))
+        write_cell_csv(path, cell.metrics, seed=cfg.scenario.seed, preset=cfg.preset)
+    print(format_table(*write_summary_csv(out / "summary.csv", cells, seed=cfg.scenario.seed,
+                                          preset=cfg.preset)))
     return 0
 
 
@@ -90,9 +88,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = _output_dir(cfg)
     rows = sweep(cfg.sweep.parameter, cfg.sweep.values, cfg)
     path = out / f"sweep_{cfg.sweep.parameter}.csv"
-    write_sweep_csv(path, cfg.sweep.parameter, rows, seed=cfg.scenario.seed, preset=cfg.preset,
-                    timing=cfg.timing)
-    print(format_table(*sweep_rows(cfg.sweep.parameter, rows, cfg.timing)))
+    print(format_table(*write_sweep_csv(path, cfg.sweep.parameter, rows,
+                                        seed=cfg.scenario.seed, preset=cfg.preset)))
     return 0
 
 

@@ -50,7 +50,6 @@ class ExperimentConfig(GridSpec):
 
     preset: str = knobs.knob(section="experiment", kind="name", choices=tuple(sorted(PRESETS)))
     out_dir: str = knobs.knob("results", "experiment", key="out")
-    timing: bool = knobs.knob(True, "experiment")
     sweep: Optional[SweepSpec] = None
 
     def __post_init__(self):

@@ -72,7 +72,8 @@ class RunMetrics:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One experiment: scenario, combinations, ensemble size."""
+    """One experiment: scenario, combinations, ensemble size. An untimed
+    grid's metrics hold zero planner cost (:func:`aggregate`)."""
 
     scenario: Scenario
     filters: tuple[str, ...] = knob(("proposed", "huber"), "experiment", kind="names",
@@ -84,6 +85,7 @@ class GridSpec:
     filter_params: FilterParams = field(default_factory=FilterParams)
     planner_cfg: Optional[PlannerConfig] = None
     n_jobs: int = knob(1, "experiment", key="jobs", ge=1)
+    timing: bool = knob(True, "experiment")
 
     def __post_init__(self):
         check(self)
@@ -210,13 +212,16 @@ def _live_mean(x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return np.divide(total, count, out=np.full(np.shape(total), math.nan), where=count > 0)
 
 
-def aggregate(runs: Sequence[RunResult], threshold: float) -> RunMetrics:
+def aggregate(runs: Sequence[RunResult], threshold: float, timing: bool = True) -> RunMetrics:
     """Reduce an ensemble of runs to the cell metrics.
 
     ``rmse_series[t]`` is the root mean square of the per-run errors at t.
     ``steps_to_threshold`` uses settle semantics: the first step from which
     the RMSE stays at or below the threshold for the rest of the run
     (first-crossing would flatter methods that dip and bounce back).
+    With ``timing=False`` the metrics hold no wall-clock data: the planner
+    cost is reduced from zeros, so ``mean_cost_per_step`` and every step of
+    ``cost_series`` read 0.0, also at a step every run aborted before.
     """
     if len(runs) == 0:
         raise ValueError("need at least one run")
@@ -230,7 +235,7 @@ def aggregate(runs: Sequence[RunResult], threshold: float) -> RunMetrics:
         settle = None
     else:
         settle = int(np.max(np.nonzero(above)[0])) + 1
-    cost = np.stack([r.planner_cost for r in runs])
+    cost = np.stack([r.planner_cost for r in runs]) if timing else np.zeros(err.shape)
     return RunMetrics(
         rmse_series=rmse,
         steps_to_threshold=settle,
@@ -323,7 +328,7 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     out: dict[tuple[str, str], CellResult] = {}
     for c, (f, p) in enumerate(cells):
         cell_runs = [runs[c] for runs in results]
-        out[(f, p)] = CellResult(f, p, aggregate(cell_runs, grid.threshold), cell_runs)
+        out[(f, p)] = CellResult(f, p, aggregate(cell_runs, grid.threshold, grid.timing), cell_runs)
     return out
 
 
@@ -376,25 +381,22 @@ def _fmt(x) -> str:
     return str(float(x))
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], seed: int,
-               preset: str) -> None:
-    """One CSV: the ``# seed=... preset=...`` comment, the header, the rows."""
+def _write_csv(path, header: list[str], rows: list[list], seed: int, preset: str) -> tuple:
+    """Write the ``# seed=... preset=...`` comment, the header and the rows; return the last two."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={seed} preset={preset}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+    return header, rows
 
 
-def write_cell_csv(path, metrics: RunMetrics, *, seed: int, preset: str,
-                   timing: bool = True) -> None:
-    """Per-step ensemble series for one cell. ``timing=False`` zeroes the
-    wall-clock column so repeated runs produce byte-identical files."""
-    cost = metrics.cost_series if timing else [0.0] * len(metrics.rmse_series)
+def write_cell_csv(path, metrics: RunMetrics, *, seed: int, preset: str) -> None:
+    """Per-step ensemble series for one cell."""
     series = zip(metrics.rmse_series, metrics.bias_r_series, metrics.bias_theta_series,
-                 metrics.ercm_lambda_min_series, cost)
+                 metrics.ercm_lambda_min_series, metrics.cost_series)
     _write_csv(path, ["step", "rmse", "bias_r", "bias_theta", "ercm_lambda_min", "planner_cost_s"],
-               ([t, *map(_fmt, values)] for t, values in enumerate(series)), seed, preset)
+               [[t, *map(_fmt, values)] for t, values in enumerate(series)], seed, preset)
 
 
 def summary_header(threshold: float) -> list[str]:
@@ -405,39 +407,27 @@ def summary_header(threshold: float) -> list[str]:
             "avg_cost_ms"]
 
 
-def summary_fields(combination: str, metrics: RunMetrics, timing: bool = True) -> list[str]:
-    """One cell's summary row. A cell that never settles reads ``none``;
-    ``timing=False`` writes the cost as 0.0."""
+def summary_fields(combination: str, metrics: RunMetrics) -> list[str]:
+    """One cell's summary row. A cell that never settles reads ``none``."""
     settle = "none" if metrics.steps_to_threshold is None else str(metrics.steps_to_threshold)
-    cost_ms = metrics.mean_cost_per_step * 1e3 if timing else 0.0
-    return [combination, _fmt(metrics.final_rmse), settle, _fmt(cost_ms)]
+    return [combination, _fmt(metrics.final_rmse), settle, _fmt(metrics.mean_cost_per_step * 1e3)]
 
 
-def summary_rows(cells: Iterable[CellResult],
-                 timing: bool = True) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of ``summary.csv``, one row per cell."""
+def write_summary_csv(path, cells: Iterable[CellResult], *, seed: int,
+                      preset: str) -> tuple[list[str], list[list[str]]]:
+    """``summary.csv``, one row per cell; returns the header and rows written."""
     cells = list(cells)
-    return (summary_header(cells[0].metrics.threshold),
-            [summary_fields(c.combination, c.metrics, timing) for c in cells])
+    return _write_csv(path, summary_header(cells[0].metrics.threshold),
+                      [summary_fields(c.combination, c.metrics) for c in cells], seed, preset)
 
 
-def sweep_rows(parameter: str, rows: Sequence[SweepRow],
-               timing: bool = True) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of the sweep CSV of ``parameter``: ``parameter,value``
-    and then the summary columns."""
-    return (["parameter", "value", *summary_header(rows[0].metrics.threshold)],
-            [[parameter, _fmt(r.value), *summary_fields(r.combination, r.metrics, timing)]
-             for r in rows])
-
-
-def write_summary_csv(path, cells: Iterable[CellResult], *, seed: int, preset: str,
-                      timing: bool = True) -> None:
-    _write_csv(path, *summary_rows(cells, timing), seed, preset)
-
-
-def write_sweep_csv(path, parameter: str, rows: Sequence[SweepRow], *, seed: int, preset: str,
-                    timing: bool = True) -> None:
-    _write_csv(path, *sweep_rows(parameter, rows, timing), seed, preset)
+def write_sweep_csv(path, parameter: str, rows: Sequence[SweepRow], *, seed: int,
+                    preset: str) -> tuple[list[str], list[list[str]]]:
+    """The sweep CSV of ``parameter``: ``parameter,value`` and then the summary
+    columns, one row per sweep row; returns the header and rows written."""
+    return _write_csv(path, ["parameter", "value", *summary_header(rows[0].metrics.threshold)],
+                      [[parameter, _fmt(r.value), *summary_fields(r.combination, r.metrics)]
+                       for r in rows], seed, preset)
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -83,7 +83,7 @@ class Scenario:
     obstacle: Optional[tuple[float, float, float, float]] = knob(None, "scenario", kind="floats", n=4)
     p_nlos_clear: float = knob(0.1, "scenario", ge=0.0, le=1.0)
     shared_nlos_flag: bool = knob(True, "scenario", key="shared_nlos")
-    seed: int = knob(0, "experiment")
+    seed: int = knob(0, "experiment", ge=0)
 
     def __post_init__(self):
         check(self)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import dataclasses
 import hashlib
@@ -118,18 +119,35 @@ class TestParseConfig:
 
     # sha256 of the config.ini text each preset's minimal config dumps to, so
     # a change of a knob's value type cannot change the written bytes; adding
-    # a key changes these on purpose
+    # or moving a key changes these on purpose
     DUMP_DIGESTS = {
-        "canonical_high": "ed91abef16b67eb9bed28f4e2a20a623b3d9be7c5e9066aaa68692fb30f968dc",
-        "canonical_low": "a91945519fa68eba5ff44d80ec54414079251684991dbaeed025b84132cbd206",
-        "canonical_medium": "61eebddefe107aa569f26dc241aed761f59d7d61ab37f2c49c217508360dfc76",
-        "obstacle": "46c3a7e0ecf147b689addc6d1b7f7adecf7848e015a2eaacaca8b5780ee9be58",
+        "canonical_high": "61ed55c087b865e658f08ae56ab280bd92a63aa4884312a56042363192ae8a98",
+        "canonical_low": "3b9d95d2a3b4c08700b55201088bb961c7dacc7bcb0d3ce89ea29b87f747cf7a",
+        "canonical_medium": "5daa56dbce1058c1e85076aca247bb069367969b273d68c78ee233733c2ad5f5",
+        "obstacle": "4a85c109695950e4058dd43ab98b984913c294932b7a70a6debcfd63af8251b3",
     }
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_dump_config_text_is_pinned(self, preset):
         text = dump_config(parse_config(f"[experiment]\npreset = {preset}\n"))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DUMP_DIGESTS[preset]
+
+    # sha256 of the sorted (section, key, value) triples of the same text: a
+    # change that only reorders keys within a section leaves these as they are
+    DUMP_CONTENT_DIGESTS = {
+        "canonical_high": "ab4842da1d722cb9e7025967c906629f2f8417a39990ab968981c07fab8ec066",
+        "canonical_low": "92edae975fccacc4c5199d94363da6bf3b2f660bee237ac7320b475fafda8719",
+        "canonical_medium": "dc99657343d1751781b328ed4618826ab717e33a9eaf39cba8d18cd14659daae",
+        "obstacle": "e06fe7047bfa90284ef061378af72e2ee7c288b805a86258f03277cfa2b0ab6a",
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_dump_config_content_is_pinned(self, preset):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(dump_config(parse_config(f"[experiment]\npreset = {preset}\n")))
+        triples = sorted((s, k, v) for s in cp.sections() for k, v in cp.items(s))
+        digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+        assert digest == self.DUMP_CONTENT_DIGESTS[preset]
 
 
 def run_cli(*argv):
@@ -308,6 +326,7 @@ class TestFlagsAsConfigKeys:
         (("run", "--filters", "proposed,proposed"), "experiment.filters"),
         (("sweep", "--parameter", "eta", "--values", "3", "--planners", "passive,passive"),
          "experiment.planners"),
+        (("run", "--seed", "-1"), "experiment.seed"),
     ])
     def test_flag_errors_name_their_config_key(self, tmp_path, capsys, argv, path):
         code = run_cli(*argv, "--preset", "canonical_medium", "--steps", "2",
@@ -315,6 +334,7 @@ class TestFlagsAsConfigKeys:
         assert code == 2
         assert path in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "config.ini").exists()
 
     @pytest.mark.parametrize("text, path", [
         ("threshold = nan\n", "experiment.threshold"),

@@ -1,8 +1,10 @@
 import concurrent.futures
+import csv
 import dataclasses
 import inspect
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +12,8 @@ import pytest
 from asymloc import experiment
 from asymloc.config import parse_config
 from asymloc.experiment import (CellResult, GridSpec, RunResult, World, aggregate,
-                                format_table, run_grid, run_single, summary_fields,
-                                summary_rows, sweep, write_cell_csv, write_summary_csv,
-                                write_sweep_csv)
+                                format_table, run_grid, run_single, summary_fields, sweep,
+                                write_cell_csv, write_summary_csv, write_sweep_csv)
 from asymloc.filters import (FilterParams, UpdateDiagnostics, init_state, make_filter_config,
                              update)
 from asymloc.geometry import Measurement, Modality, linearize, wrap_angle
@@ -96,18 +97,25 @@ class TestAggregate:
         assert cell.metrics.rmse_series[1] == 3.0
         assert cell.live_runs == [2, 1, 1]
 
-    @pytest.mark.filterwarnings("error")
-    def test_a_step_every_run_aborted_before_is_not_settled(self):
-        # both runs abort at step 4, 9 m off: from there every series is NaN
-        # (with no warning), and a NaN RMSE is not at or below the
-        # threshold, so the cell never settles
+    @staticmethod
+    def aborted_at_step_4(cost=0.0):
+        """Two runs that abort at step 4, 9 m off, each planner decision
+        before it having taken ``cost`` seconds."""
         runs = []
         for _ in range(2):
             run = make_run([9.0] * 4 + [math.nan] * 6)
+            run.planner_cost[:4] = cost
             for series in (run.bias_r, run.bias_theta, run.lambda_min, run.planner_cost):
                 series[4:] = math.nan
             run.aborted_at = 4
             runs.append(run)
+        return runs
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_step_every_run_aborted_before_is_not_settled(self):
+        # from the abort on every series is NaN (with no warning), and a NaN
+        # RMSE is not at or below the threshold, so the cell never settles
+        runs = self.aborted_at_step_4()
         m = aggregate(runs, threshold=2.5)
         assert math.isnan(m.final_rmse)
         assert m.steps_to_threshold is None
@@ -116,6 +124,24 @@ class TestAggregate:
                        m.ercm_lambda_min_series):
             assert np.isnan(series[4:]).all() and not np.isnan(series[:4]).any()
         assert m.mean_cost_per_step == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_untimed_metrics_hold_zero_cost(self, tmp_path):
+        # the untimed reduction drops the measured cost: zero at every step,
+        # also where the timed series reads NaN because every run aborted
+        timed = aggregate(self.aborted_at_step_4(cost=1e-5), threshold=2.5)
+        m = aggregate(self.aborted_at_step_4(cost=1e-5), threshold=2.5, timing=False)
+        assert timed.mean_cost_per_step > 0.0 and np.isnan(timed.cost_series[4:]).all()
+        assert m.mean_cost_per_step == 0.0
+        assert m.cost_series.tolist() == [0.0] * 10
+        for name in ("rmse_series", "bias_r_series", "bias_theta_series",
+                     "ercm_lambda_min_series"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(timed, name))
+        assert summary_fields("proposed (passive)", m)[3] == "0.0"
+        path = tmp_path / "cell.csv"
+        write_cell_csv(path, m, seed=0, preset="p")
+        written = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[2:]]
+        assert written == ["0.0"] * 10
 
     def test_live_runs_without_aborts(self):
         runs = [make_run([1.0, 2.0]), make_run([3.0, 4.0]), make_run([5.0, 6.0])]
@@ -568,9 +594,10 @@ class TestSweep:
 
 
 class TestCsvOutput:
-    def _metrics(self):
+    def _metrics(self, timing=True):
         sc = dataclasses.replace(PRESETS["canonical_medium"], steps=12)
-        grid = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=2)
+        grid = GridSpec(scenario=sc, filters=("proposed",), planners=("reactive",), n_runs=2,
+                        timing=timing)
         return run_grid(grid)[("proposed", "reactive")]
 
     def test_cell_csv_layout(self, tmp_path):
@@ -583,28 +610,33 @@ class TestCsvOutput:
         assert len(lines) == 2 + 12
 
     def test_timing_mask_zeroes_cost(self, tmp_path):
-        cell = self._metrics()
+        cell = self._metrics(timing=False)
         path = tmp_path / "cell.csv"
-        write_cell_csv(path, cell.metrics, seed=7, preset="p", timing=False)
+        write_cell_csv(path, cell.metrics, seed=7, preset="p")
         for line in path.read_text().splitlines()[2:]:
             assert line.rsplit(",", 1)[1] == "0.0"
 
     def test_summary_csv_and_table(self, tmp_path):
         cell = self._metrics()
         path = tmp_path / "summary.csv"
-        write_summary_csv(path, [cell], seed=3, preset="canonical_medium")
+        header, rows = write_summary_csv(path, [cell], seed=3, preset="canonical_medium")
         lines = path.read_text().splitlines()
         assert lines[1] == "combination,final_rmse_m,steps_to_2p5m,avg_cost_ms"
         assert lines[2].startswith("proposed (reactive),")
-        table = format_table(*summary_rows([cell]))
-        assert "combination" in table and "proposed (reactive)" in table
+        # the writer returns exactly the rows it wrote, which the table shows
+        assert list(csv.reader(lines[1:])) == [header, *rows]
+        table = format_table(header, rows).splitlines()
+        assert [re.split(r"\s{2,}", line.rstrip()) for line in table] == [header, *rows]
 
     def test_sweep_csv(self, tmp_path):
         base = GridSpec(scenario=dataclasses.replace(PRESETS["canonical_medium"], steps=10),
                         filters=("proposed",), planners=("reactive",), n_runs=1)
         rows = sweep("eta", [4.0, 5.0], base)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, "eta", rows, seed=1, preset="canonical_medium")
+        header, written = write_sweep_csv(path, "eta", rows, seed=1, preset="canonical_medium")
         lines = path.read_text().splitlines()
         assert lines[1] == "parameter,value,combination,final_rmse_m,steps_to_2p5m,avg_cost_ms"
         assert len(lines) == 2 + 2
+        assert list(csv.reader(lines[1:])) == [header, *written]
+        table = format_table(header, written).splitlines()
+        assert [re.split(r"\s{2,}", line.rstrip()) for line in table] == [header, *written]

@@ -73,6 +73,8 @@ class TestScenarioValidation:
             Scenario(sigma_r=-1.0)
         with pytest.raises(ValueError):
             Scenario(truth=(120.0, 50.0))
+        with pytest.raises(ValueError, match="^seed: -1 must be >= 0"):
+            Scenario(seed=-1)
         # a value of the wrong type is refused by name, as a ValueError
         for field in ("obstacle", "truth"):
             with pytest.raises(ValueError, match=f"^{field}: "):
