@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import math
 import time
 from contextvars import ContextVar
@@ -270,60 +271,58 @@ class CellResult:
         return [sum(t < end for end in ends) for t in range(len(self.runs[0].errors))]
 
 
-def _run_index(args) -> list[RunResult]:
+def _run_index(scenario: Scenario, configs, planner_cfg, run_seed: int) -> list[RunResult]:
     """One run index of every cell, in cell order, sharing one :class:`World`."""
-    scenario, cells, planner_cfg, run_seed = args
     world = World(scenario, run_seed)
-    return [run_single(world, fcfg, p, planner_cfg) for fcfg, p in cells]
+    return [run_single(world, fcfg, p, planner_cfg) for fcfg, p in configs]
 
 
-# the pool an enclosing _process_pool block opened, which every run_grid call
-# inside the block shares; unset outside one, so no worker outlives its block
-_open_pool: ContextVar = ContextVar("asymloc_open_pool", default=None)
+# the map an enclosing _run_map block opened on its pool, which every run_grid
+# call inside the block shares; unset outside one, so no worker outlives its block
+_open_map: ContextVar = ContextVar("asymloc_open_map", default=None)
 
 
 @contextlib.contextmanager
-def _process_pool(n_jobs: int):
-    """The enclosing block's process pool, else a new one of ``n_jobs``
-    workers, shut down (its workers joined) when this block ends or raises."""
-    pool = _open_pool.get()
-    if pool is not None:
-        yield pool
+def _run_map(grid: GridSpec):
+    """The ``map`` a grid's run indices go through, for its ``n_jobs``
+    workers capped at ``n_runs``: the builtin one at one worker, else the
+    enclosing block's, else one on a new pool of that many processes,
+    shut down (its workers joined) when this block ends or raises."""
+    workers = min(grid.n_jobs, grid.n_runs)
+    run_map = map if workers == 1 else _open_map.get()
+    if run_map is not None:
+        yield run_map
         return
     # imported here: multiprocessing adds about 2 MB to every
     # single-process run that never uses it
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        token = _open_pool.set(pool)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        run_map = functools.partial(pool.map, chunksize=max(1, grid.n_runs // (8 * workers)))
+        token = _open_map.set(run_map)
         try:
-            yield pool
+            yield run_map
         finally:
-            _open_pool.reset(token)
+            _open_map.reset(token)
 
 
 def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     """Run every filter x planner cell of the grid.
 
-    One job runs index ``i`` (seed ``scenario.seed + i``) in every cell
-    over one shared :class:`World`; with ``n_jobs > 1`` and more than one
-    run the jobs are fanned out to a process pool of at most ``n_runs``
-    workers: the one :func:`sweep` keeps open across its values, or else
-    one opened and shut down within this call. Cells are reassembled in
-    run-index order either way, so every run equals the run made alone, at
-    any worker count.
+    Run index ``i`` (seed ``scenario.seed + i``) runs in every cell over one
+    shared :class:`World`, and the indices go through the :func:`_run_map`
+    of the grid: in this process at one worker, else on a process pool of
+    at most ``n_runs`` workers, the one :func:`sweep` keeps open across its
+    values or one opened and shut down within this call. Cells are
+    reassembled in run-index order either way, so every run equals the run
+    made alone, at any worker count.
     """
     cells = [(f, p) for f in grid.filters for p in grid.planners]
     sc = grid.scenario
     configs = [(make_filter_config(f, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params), p)
                for f, p in cells]
-    jobs = [(sc, configs, grid.planner_cfg, sc.seed + i) for i in range(grid.n_runs)]
-
-    n_jobs = min(grid.n_jobs, grid.n_runs)
-    if n_jobs > 1:
-        with _process_pool(n_jobs) as pool:
-            results = list(pool.map(_run_index, jobs, chunksize=max(1, len(jobs) // (8 * n_jobs))))
-    else:
-        results = [_run_index(j) for j in jobs]
+    with _run_map(grid) as run_map:
+        results = list(run_map(functools.partial(_run_index, sc, configs, grid.planner_cfg),
+                               range(sc.seed, sc.seed + grid.n_runs)))
 
     out: dict[tuple[str, str], CellResult] = {}
     for c, (f, p) in enumerate(cells):
@@ -355,22 +354,18 @@ def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[Sweep
     values, so rows are paired on the underlying noise draws).
 
     ``parameter`` must be one of ``SWEEP_PARAMETERS`` and every value must
-    pass the knob's bounds (``ValueError`` before any run starts). With
-    ``base.n_jobs > 1`` and more than one run, one process pool of at most
-    ``n_runs`` workers serves every value's :func:`run_grid` call and is
-    shut down before this returns or raises.
+    pass the knob's bounds (``ValueError`` before any run starts). The
+    values run inside one :func:`_run_map` block, so at more than one worker
+    one process pool serves every value's :func:`run_grid` call and is shut
+    down before this returns or raises.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
     values = [float(v) for v in values]
     grids = [dataclasses.replace(base, **_swept(base, parameter, v)) for v in values]
-    rows: list[SweepRow] = []
-    n_jobs = min(base.n_jobs, base.n_runs)
-    with _process_pool(n_jobs) if n_jobs > 1 else contextlib.nullcontext():
-        for v, grid in zip(values, grids):
-            for cell in run_grid(grid).values():
-                rows.append(SweepRow(v, cell.combination, cell.metrics))
-    return rows
+    with _run_map(base):
+        return [SweepRow(v, cell.combination, cell.metrics)
+                for v, grid in zip(values, grids) for cell in run_grid(grid).values()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ flags built on them (:mod:`asymloc.config`, :mod:`asymloc.cli`).
 
 Kinds: ``float``, ``int``, ``bool``, ``text`` (inferred from the default),
 ``name`` (one of ``choices``) and the comma lists ``floats`` and ``names``
-(distinct names); a knob's value is what its text parses to, so a list
-is a tuple. A list of fixed length ``n`` with a ``None`` default also
-accepts ``none``. Numbers must be finite.
+(distinct names); a knob's value has the type its text parses to, so a
+list is a tuple and only a ``bool`` knob takes a bool. A list of fixed
+length ``n`` with a ``None`` default also accepts ``none``; no other knob
+takes ``None``. Numbers must be finite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ _KINDS = {bool: "bool", int: "int", float: "float", str: "text"}
 _LIST_OF = {"floats": "float", "names": "name"}
 _BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
           **dict.fromkeys(("false", "no", "off", "0"), False)}
-_EXPECTED = {"float": "a number", "int": "an integer", "bool": "a boolean"}
+# kind -> the type its values must have (a bool is only a bool) and its name in errors
+_TYPES = {"float": (numbers.Real, "a number"), "int": (numbers.Integral, "an integer"),
+          "bool": (bool, "a boolean"), "text": (str, "a string"), "name": (str, "a string")}
 
 
 def knob(default=dataclasses.MISSING, section=None, *, key=None, kind=None, **limits):
@@ -50,23 +53,29 @@ def _items(f: dataclasses.Field, value) -> tuple:
 
 
 def _check_value(f: dataclasses.Field, value) -> None:
-    """Raise ``ValueError`` unless ``value`` has the knob's type, length and bounds."""
+    """Raise ``ValueError`` unless ``value`` has the knob's type, length and
+    bounds; ``None`` passes only where it is the default."""
     m = f.metadata
-    items = () if value is None else _items(f, value)
-    if value is not None and (not items or len(items) != m.get("n", len(items))):
+    if value is None and f.default is None:
+        return
+    kind = _LIST_OF.get(m["kind"], m["kind"])
+    if m["kind"] in _LIST_OF and not isinstance(value, tuple):
+        raise ValueError(f"expected a tuple, got {value!r}")
+    items = _items(f, value)
+    if not items or len(items) != m.get("n", len(items)):
         raise ValueError(f"expected {m['n']} values, got {len(items)}" if "n" in m else "empty list")
-    if m["kind"] == "names" and len(set(items)) != len(items):
-        raise ValueError(f"repeated entries in {','.join(items)}")
     for v in items:
+        if not isinstance(v, _TYPES[kind][0]) or isinstance(v, bool) != (kind == "bool"):
+            raise ValueError(f"expected {_TYPES[kind][1]}, got {v!r}")
         if "choices" in m and v not in m["choices"]:
             raise ValueError(f"unknown entry {v!r}; expected one of {m['choices']}")
-        if m["kind"] == "int" and not isinstance(v, numbers.Integral):
-            raise ValueError(f"expected an integer, got {v!r}")
-        if m["kind"] in ("float", "int", "floats") and not math.isfinite(v):
+        if kind in ("float", "int") and not math.isfinite(v):
             raise ValueError(f"expected a finite number, got {v}")
         for limit, symbol, holds in _LIMITS:
             if limit in m and not holds(v, m[limit]):
                 raise ValueError(f"{v} must be {symbol} {m[limit]}")
+    if m["kind"] == "names" and len(set(items)) != len(items):
+        raise ValueError(f"repeated entries in {','.join(items)}")
 
 
 def check(obj) -> None:
@@ -85,7 +94,7 @@ def _scalar(kind: str, text: str):
             return _BOOLS[text.lower()]
         return int(text) if kind == "int" else float(text) if kind == "float" else text
     except (KeyError, ValueError):
-        raise ValueError(f"expected {_EXPECTED[kind]}, got {text!r}") from None
+        raise ValueError(f"expected {_TYPES[kind][1]}, got {text!r}") from None
 
 
 def parse(f: dataclasses.Field, raw: str):

@@ -13,7 +13,7 @@ from asymloc import knobs
 from asymloc.cli import main
 from asymloc.config import ConfigError, dump_config, parse_config
 from asymloc.config import ExperimentConfig, SweepSpec
-from asymloc.experiment import SWEEP_PARAMETERS
+from asymloc.experiment import SWEEP_PARAMETERS, GridSpec
 from asymloc.filters import FilterParams
 from asymloc.planners import PlannerConfig
 from asymloc.sim_env import PRESETS, Scenario
@@ -108,6 +108,31 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"sweep\.values: p_nlos: 2\.0 must be <= 1\.0"):
             ExperimentConfig(preset="canonical_medium", scenario=PRESETS["canonical_medium"],
                              sweep=SweepSpec("p_nlos", (0.5, 2.0)))
+
+    # a value of another type than its knob's text parses to would run as
+    # something else (a non-empty "false" turns EM on) or break the round trip
+    @pytest.mark.parametrize("cls, field, value, expected", [
+        (FilterParams, "em_enabled", "false", "expected a boolean, got 'false'"),
+        (FilterParams, "em_enabled", 1, "expected a boolean, got 1"),
+        (GridSpec, "timing", "false", "expected a boolean, got 'false'"),
+        (Scenario, "shared_nlos_flag", None, "expected a boolean, got None"),
+        (Scenario, "p_nlos", None, "expected a number, got None"),
+        (GridSpec, "n_runs", None, "expected an integer, got None"),
+        (Scenario, "steps", True, "expected an integer, got True"),
+        (Scenario, "arena", True, "expected a number, got True"),
+        (PlannerConfig, "eta", "5.0", "expected a number, got '5.0'"),
+        (Scenario, "truth", [50.0, 50.0], "expected a tuple, got [50.0, 50.0]"),
+        (Scenario, "obstacle", [50.0, 35.0, 25.0, 8.0], "expected a tuple, got [50.0, "),
+        (Scenario, "start", (10.0, "10"), "expected a number, got '10'"),
+        (GridSpec, "filters", ["proposed"], "expected a tuple, got ['proposed']"),
+        (GridSpec, "planners", ("passive", 3), "expected a string, got 3"),
+        (SweepSpec, "values", None, "expected a tuple, got None"),
+    ])
+    def test_value_of_another_type_refused_by_name(self, cls, field, value, expected):
+        required = {GridSpec: {"scenario": PRESETS["canonical_medium"]},
+                    SweepSpec: {"parameter": "p_nlos", "values": (0.5,)}}.get(cls, {})
+        with pytest.raises(ValueError, match=f"^{field}: {re.escape(expected)}"):
+            cls(**{**required, field: value})
 
     def test_round_trip(self):
         text = (MINIMAL + "seed = 3\nruns = 4\nsteps = 33\n"

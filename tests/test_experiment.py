@@ -470,6 +470,30 @@ class TestGrid:
             np.testing.assert_array_equal(r1[key].metrics.rmse_series,
                                           r2[key].metrics.rmse_series)
 
+    @pytest.mark.parametrize("n_jobs, n_runs, chunksize", [(2, 37, 2), (3, 7, 1)])
+    def test_pooled_chunks_with_a_remainder(self, monkeypatch, n_jobs, n_runs, chunksize):
+        # 37 runs in chunks of 2 end in a chunk of 1, and 7 runs over 3
+        # workers give one worker a run more: every cell's metrics must still
+        # equal the one-worker grid's to the bit (untimed, so the cost too)
+        chunks = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                chunks.append(kwargs["chunksize"])
+                return super().map(fn, *iterables, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        sc = dataclasses.replace(PRESETS["canonical_low"], steps=8)
+        grid = GridSpec(scenario=sc, filters=("proposed", "ekf"), planners=("passive", "reactive"),
+                        n_runs=n_runs, timing=False)
+        serial = run_grid(grid)
+        pooled = run_grid(dataclasses.replace(grid, n_jobs=n_jobs))
+        assert chunks == [chunksize]
+        assert list(pooled) == list(serial)
+        for key, cell in serial.items():
+            for f in dataclasses.fields(cell.metrics):
+                a, b = getattr(cell.metrics, f.name), getattr(pooled[key].metrics, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (key, f.name)
+
     def test_every_filter_knob_reaches_the_built_filter(self, monkeypatch):
         # each [filter] key away from its default, read through parse_config
         text = {"k_rtt": "2.0", "k_aoa": "1.1", "sigma_delta_r": "3.0",
