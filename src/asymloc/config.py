@@ -50,7 +50,7 @@ class ExperimentConfig(GridSpec):
 
     preset: str = knobs.knob(section="experiment", kind="name", choices=tuple(sorted(PRESETS)))
     out_dir: str = knobs.knob("results", "experiment", key="out")
-    sweep: Optional[SweepSpec] = None
+    sweep: Optional[SweepSpec] = knobs.part(SweepSpec, default=None)
 
     def __post_init__(self):
         super().__post_init__()

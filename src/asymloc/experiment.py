@@ -22,7 +22,7 @@ import functools
 import math
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .filters import (FILTER_KINDS, FilterConfig, FilterDivergenceError, FilterParams, RobustEkf,
                       make_filter_config)
 from .geometry import CoincidentPointsError, Modality
-from .knobs import check, config_fields, knob
+from .knobs import check, config_fields, knob, part
 from .observability import SlidingCurvatureTracker, classify_residual
 from .planners import PLANNER_KINDS, PlannerConfig, make_planner
 from .sim_env import Scenario, channel_draws, observe_with_draw
@@ -76,15 +76,15 @@ class GridSpec:
     """One experiment: scenario, combinations, ensemble size. An untimed
     grid's metrics hold zero planner cost (:func:`aggregate`)."""
 
-    scenario: Scenario
+    scenario: Scenario = part(Scenario)
     filters: tuple[str, ...] = knob(("proposed", "huber"), "experiment", kind="names",
                                     choices=FILTER_KINDS)
     planners: tuple[str, ...] = knob(("passive", "reactive", "fim"), "experiment", kind="names",
                                      choices=PLANNER_KINDS)
     n_runs: int = knob(50, "experiment", key="runs", ge=1)
     threshold: float = knob(2.5, "experiment", gt=0.0)
-    filter_params: FilterParams = field(default_factory=FilterParams)
-    planner_cfg: Optional[PlannerConfig] = None
+    filter_params: FilterParams = part(FilterParams, default_factory=FilterParams)
+    planner_cfg: Optional[PlannerConfig] = part(PlannerConfig, default=None)
     n_jobs: int = knob(1, "experiment", key="jobs", ge=1)
     timing: bool = knob(True, "experiment")
 
@@ -101,14 +101,15 @@ def _check_arena(scenario: Scenario, planner_cfg: PlannerConfig) -> None:
 
 
 class World:
-    """One run index's generator, its :func:`channel_draws` per step, and per
-    step the first observation made, kept with its pose: a run at that step
-    and pose reuses it (every passive run does, and every run at step 0)."""
+    """One run index's :func:`channel_draws` per step, drawn when built from
+    the run's ``default_rng(run_seed)``, and per step the first observation
+    made, kept with its pose: a run at that step and pose reuses it (every
+    passive run does, and every run at step 0)."""
 
     def __init__(self, scenario: Scenario, run_seed: int):
         self.scenario = scenario
-        self.rng = np.random.default_rng(run_seed)
-        self.draws: list[tuple] = []
+        rng = np.random.default_rng(run_seed)
+        self.draws = [channel_draws(rng) for _ in range(scenario.steps)]
         self.memo: dict[int, tuple] = {}
 
     def observe(self, agent, step: int):
@@ -119,8 +120,6 @@ class World:
         seen = self.memo.get(step)
         if seen is not None and seen[0] == pose:
             return seen[1]
-        while len(self.draws) <= step:
-            self.draws.append(channel_draws(self.rng))
         try:
             obs = observe_with_draw(self.scenario, pose, self.draws[step])
         except CoincidentPointsError:
@@ -161,7 +160,6 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
     # one float row per step, (*mean, lambda_min, planner cost, *pose)
     rows = []
     n_clamped = 0
-    aborted_at: Optional[int] = None
     abort_reason = ""
 
     # per-step calls looked up once per run, after any class-level wrapping
@@ -171,8 +169,7 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
     for t in range(steps):
         try:
             predict()
-            if t > 0:
-                obs = observe(agent, t)
+            obs = observe(agent, t)
             if obs is not None:
                 m_rtt, m_aoa, _, clamped = obs
                 n_clamped += int(clamped)
@@ -191,7 +188,6 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
             rows.append((ex, ey, br, bt, lmin, clock() - tic, *agent))
             agent = pose
         except FilterDivergenceError as exc:
-            aborted_at = t
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
 
@@ -201,7 +197,8 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
     errors = np.hypot(table[:, 0] - tx, table[:, 1] - ty)
     return RunResult(errors=errors, bias_r=table[:, 2], bias_theta=table[:, 3],
                      lambda_min=table[:, 4], planner_cost=table[:, 5], trajectory=table[:, 6:],
-                     n_clamped=n_clamped, aborted_at=aborted_at, abort_reason=abort_reason)
+                     n_clamped=n_clamped, aborted_at=len(rows) if abort_reason else None,
+                     abort_reason=abort_reason)
 
 
 def _live_mean(x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:

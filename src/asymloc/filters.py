@@ -19,6 +19,7 @@ The belief is held as Python floats (:class:`EstimatorState`), so
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -264,14 +265,9 @@ class RobustEkf:
         if self._em_rtt and z.modality is Modality.RTT and not diag.skipped:
             self._bias_window.append(soft_threshold_bias(diag.residual, self.config.rtt_loss))
             if len(self._bias_window) >= self.config.params.em_window:
-                self._refresh_rtt_rate()
+                with contextlib.suppress(NoNlosEvidenceError):
+                    new_loss = LossSpec.one_sided(self.config.rtt_loss.sigma,
+                                                  lam=em_update_lambda(self._bias_window))
+                    self.config = dataclasses.replace(self.config, rtt_loss=new_loss)
                 self._bias_window.clear()
         return diag
-
-    def _refresh_rtt_rate(self) -> None:
-        try:
-            lam_new = em_update_lambda(self._bias_window)
-        except NoNlosEvidenceError:
-            return
-        new_loss = LossSpec.one_sided(self.config.rtt_loss.sigma, lam=lam_new)
-        self.config = dataclasses.replace(self.config, rtt_loss=new_loss)

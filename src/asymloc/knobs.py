@@ -11,7 +11,8 @@ Kinds: ``float``, ``int``, ``bool``, ``text`` (inferred from the default),
 (distinct names); a knob's value has the type its text parses to, so a
 list is a tuple and only a ``bool`` knob takes a bool. A list of fixed
 length ``n`` with a ``None`` default also accepts ``none``; no other knob
-takes ``None``. Numbers must be finite.
+takes ``None``. Numbers must be finite. A *part* (:func:`part`) is a
+field holding a sub-config, checked on construction for its class.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def knob(default=dataclasses.MISSING, section=None, *, key=None, kind=None, **li
         "section": section, "key": key, "kind": kind or _KINDS[type(default)], **limits})
 
 
+def part(cls: type, **kwargs):
+    """A dataclass field holding a ``cls`` instance (or ``None`` where that
+    is the default); ``kwargs`` go to :func:`dataclasses.field`."""
+    return dataclasses.field(metadata={"part": cls}, **kwargs)
+
+
 def config_fields(cls_or_obj) -> list[dataclasses.Field]:
     """The knobs of a dataclass that have a config key."""
     return [f for f in dataclasses.fields(cls_or_obj) if f.metadata.get("section")]
@@ -54,9 +61,14 @@ def _items(f: dataclasses.Field, value) -> tuple:
 
 def _check_value(f: dataclasses.Field, value) -> None:
     """Raise ``ValueError`` unless ``value`` has the knob's type, length and
-    bounds; ``None`` passes only where it is the default."""
+    bounds, or is an instance of the part's class; ``None`` passes only where
+    it is the default."""
     m = f.metadata
     if value is None and f.default is None:
+        return
+    if "part" in m:
+        if not isinstance(value, m["part"]):
+            raise ValueError(f"expected a {m['part'].__name__}, got {value!r}")
         return
     kind = _LIST_OF.get(m["kind"], m["kind"])
     if m["kind"] in _LIST_OF and not isinstance(value, tuple):

@@ -110,7 +110,9 @@ class TestParseConfig:
                              sweep=SweepSpec("p_nlos", (0.5, 2.0)))
 
     # a value of another type than its knob's text parses to would run as
-    # something else (a non-empty "false" turns EM on) or break the round trip
+    # something else (a non-empty "false" turns EM on) or break the round
+    # trip; a sub-config of another class was accepted, or died on an
+    # attribute, until a run or a sweep read a knob from it
     @pytest.mark.parametrize("cls, field, value, expected", [
         (FilterParams, "em_enabled", "false", "expected a boolean, got 'false'"),
         (FilterParams, "em_enabled", 1, "expected a boolean, got 1"),
@@ -127,9 +129,17 @@ class TestParseConfig:
         (GridSpec, "filters", ["proposed"], "expected a tuple, got ['proposed']"),
         (GridSpec, "planners", ("passive", 3), "expected a string, got 3"),
         (SweepSpec, "values", None, "expected a tuple, got None"),
+        (GridSpec, "scenario", None, "expected a Scenario, got None"),
+        (GridSpec, "filter_params", None, "expected a FilterParams, got None"),
+        (GridSpec, "filter_params", PlannerConfig(), "expected a FilterParams, got PlannerConfig("),
+        (GridSpec, "planner_cfg", "x", "expected a PlannerConfig, got 'x'"),
+        (ExperimentConfig, "sweep", ("p_nlos", (0.5,)),
+         "expected a SweepSpec, got ('p_nlos', (0.5,))"),
     ])
     def test_value_of_another_type_refused_by_name(self, cls, field, value, expected):
         required = {GridSpec: {"scenario": PRESETS["canonical_medium"]},
+                    ExperimentConfig: {"preset": "canonical_medium",
+                                       "scenario": PRESETS["canonical_medium"]},
                     SweepSpec: {"parameter": "p_nlos", "values": (0.5,)}}.get(cls, {})
         with pytest.raises(ValueError, match=f"^{field}: {re.escape(expected)}"):
             cls(**{**required, field: value})
