@@ -16,15 +16,15 @@ at most ``eta`` meters per step and staying inside the square arena.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .geometry import Modality
 from .knobs import check, knob
-from .observability import eig_sym
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,19 @@ def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> tuple[float, float
             min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena))
 
 
-def _fim_entries(estimate, candidate, sigma_r: Optional[float],
-                 sigma_theta: Optional[float]) -> tuple[float, float, float]:
-    """The entries ``(a, b, c)`` of the Fisher matrix ``[[a, b], [b, c]]``
-    (see :func:`fim`); a modality whose scale is ``None`` is absent."""
+def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
+    """Single-measurement Fisher information of the position, 2x2.
+
+    Sum over the modalities present in ``noise`` of ``J J^T / sigma^2``
+    with the Jacobians evaluated at (estimate, candidate). Range and
+    bearing Jacobians are orthogonal, so using both gives rank 2. The same
+    entry formula is inlined in :func:`fim_e_optimal`'s candidate loop.
+    """
     dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
     d2 = dx * dx + dy * dy
     if d2 == 0.0:
         raise ValueError("Fisher information undefined for candidate at the estimate")
+    sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
     a = b = c = 0.0
     if sigma_r is not None:
         k = d2 * sigma_r ** 2
@@ -81,18 +86,14 @@ def _fim_entries(estimate, candidate, sigma_r: Optional[float],
         a += dy * dy / k
         b -= dx * dy / k
         c += dx * dx / k
-    return a, b, c
-
-
-def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
-    """Single-measurement Fisher information of the position, 2x2.
-
-    Sum over the modalities present in ``noise`` of ``J J^T / sigma^2``
-    with the Jacobians evaluated at (estimate, candidate). Range and
-    bearing Jacobians are orthogonal, so using both gives rank 2.
-    """
-    a, b, c = _fim_entries(estimate, candidate, noise.get(Modality.RTT), noise.get(Modality.AOA))
     return np.array([[a, b], [b, c]])
+
+
+@functools.lru_cache
+def _ring(n: int, eta: float) -> tuple[tuple[float, float], ...]:
+    """The offsets of ``n`` headings on the circle of radius ``eta``."""
+    return tuple((eta * math.cos(2.0 * math.pi * i / n), eta * math.sin(2.0 * math.pi * i / n))
+                 for i in range(n))
 
 
 def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
@@ -113,23 +114,40 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
     Every candidate within ``d* = sigma_r / sigma_theta`` of the estimate
     (43 m on ``canonical_medium``) ties at ``1/sigma_r^2`` and the first
     such candidate wins; if none is that close, the nearest candidate wins.
+
+    Each score is :func:`fim`'s entries and ``eig_sym``'s smaller
+    eigenvalue, inlined with the same operations in the same order.
     """
     ax, ay = float(agent[0]), float(agent[1])
-    e = (float(estimate[0]), float(estimate[1]))
+    ex, ey = float(estimate[0]), float(estimate[1])
     sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
-    n = cfg.candidate_count
-    candidates = []
-    for i in range(n):
-        t = 2.0 * math.pi * i / n
-        candidates.append((ax + cfg.eta * math.cos(t), ay + cfg.eta * math.sin(t)))
+    var_r = None if sigma_r is None else sigma_r ** 2
+    var_theta = None if sigma_theta is None else sigma_theta ** 2
+    arena = cfg.arena
+    candidates = [(ax + ox, ay + oy) for ox, oy in _ring(cfg.candidate_count, cfg.eta)]
     candidates.append((ax, ay))
 
     scores = []
-    for c in candidates:
-        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
+    for cx, cy in candidates:
+        if not (0.0 <= cx <= arena and 0.0 <= cy <= arena) or (cx == ex and cy == ey):
             scores.append(-math.inf)
-        else:
-            scores.append(eig_sym(*_fim_entries(e, c, sigma_r, sigma_theta))[0])
+            continue
+        dx, dy = ex - cx, ey - cy
+        d2 = dx * dx + dy * dy
+        if d2 == 0.0:
+            raise ValueError("Fisher information undefined for candidate at the estimate")
+        a = b = c = 0.0
+        if var_r is not None:
+            k = d2 * var_r
+            a += dx * dx / k
+            b += dx * dy / k
+            c += dy * dy / k
+        if var_theta is not None:
+            k = d2 * d2 * var_theta
+            a += dy * dy / k
+            b -= dx * dy / k
+            c += dx * dx / k
+        scores.append(0.5 * (a + c) - math.hypot(0.5 * (a - c), b))
     best = max(scores)
     if not math.isfinite(best):
         return ax, ay

@@ -236,6 +236,106 @@ class TestPlannerParity:
                                        rtol=0.0, atol=1e-12)
 
 
+# ``fim_e_optimal`` and its entries helper as they were before the candidate
+# loop inlined them over a cached ring; the loop must keep every decision's bits
+def prev_fim_entries(estimate, candidate, sigma_r, sigma_theta):
+    dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ValueError("Fisher information undefined for candidate at the estimate")
+    a = b = c = 0.0
+    if sigma_r is not None:
+        k = d2 * sigma_r ** 2
+        a += dx * dx / k
+        b += dx * dy / k
+        c += dy * dy / k
+    if sigma_theta is not None:
+        k = d2 * d2 * sigma_theta ** 2
+        a += dy * dy / k
+        b -= dx * dy / k
+        c += dx * dx / k
+    return a, b, c
+
+
+def prev_fim_e_optimal(agent, estimate, cfg, noise):
+    ax, ay = float(agent[0]), float(agent[1])
+    e = (float(estimate[0]), float(estimate[1]))
+    sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
+    n = cfg.candidate_count
+    candidates = []
+    for i in range(n):
+        t = 2.0 * math.pi * i / n
+        candidates.append((ax + cfg.eta * math.cos(t), ay + cfg.eta * math.sin(t)))
+    candidates.append((ax, ay))
+
+    scores = []
+    for c in candidates:
+        if not (0.0 <= c[0] <= cfg.arena and 0.0 <= c[1] <= cfg.arena) or c == e:
+            scores.append(-math.inf)
+        else:
+            scores.append(eig_sym(*prev_fim_entries(e, c, sigma_r, sigma_theta))[0])
+    best = max(scores)
+    if not math.isfinite(best):
+        return ax, ay
+    tol = 1e-9 * max(1.0, abs(best))
+    winner = next(i for i, s in enumerate(scores) if s >= best - tol)
+    return candidates[winner]
+
+
+@st.composite
+def fim_decision(draw):
+    """A planner config, an agent inside, on the edge of or just outside the
+    arena, and an estimate on the agent, on one of its ring candidates, near
+    it or far from it."""
+    n = draw(st.integers(2, 40))
+    eta = draw(st.sampled_from([0.5, 3.0, 5.0, 7.3, 25.0]))
+    arena = draw(st.sampled_from([2.0, 60.0, 100.0, 1000.0]))
+    coordinate = st.one_of(
+        st.floats(0.0, arena),
+        st.sampled_from([0.0, -0.0, arena]),
+        st.sampled_from([math.nextafter(0.0, -1.0), -1e-9, math.nextafter(arena, math.inf),
+                         arena + 1e-9]))
+    ax, ay = draw(coordinate), draw(coordinate)
+    kind = draw(st.sampled_from(["agent", "ring", "near", "far"]))
+    if kind == "agent":
+        estimate = (ax, ay)
+    elif kind == "ring":
+        # the candidate as the planner builds it, so the exclusion must match
+        t = 2.0 * math.pi * draw(st.integers(0, n - 1)) / n
+        estimate = (ax + eta * math.cos(t), ay + eta * math.sin(t))
+    else:
+        spread = 2.0 if kind == "near" else 2000.0
+        offset = st.floats(-spread, spread)
+        estimate = (ax + draw(offset), ay + draw(offset))
+    return (ax, ay), estimate, PlannerConfig(eta=eta, candidate_count=n, arena=arena)
+
+
+def decision_bits(planner, *args):
+    """``planner``'s decision as the hex strings of its coordinates (so a
+    -0.0 shows), or the type of the error it raised: ``ValueError`` where
+    ``d2`` underflows to zero, ``ZeroDivisionError`` where only ``d2 * d2``
+    does."""
+    try:
+        x, y = planner(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return float.hex(x), float.hex(y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(case=fim_decision(), noise=st.sampled_from(NOISES))
+def test_fim_e_optimal_keeps_the_previous_decisions(case, noise):
+    agent, estimate, cfg = case
+    assert (decision_bits(fim_e_optimal, agent, estimate, cfg, noise)
+            == decision_bits(prev_fim_e_optimal, agent, estimate, cfg, noise))
+
+
+def test_fim_e_optimal_raises_where_d2_underflows():
+    args = ((0.0, 0.0), (1e-170, 0.0), PlannerConfig(), NOISE)
+    assert decision_bits(fim_e_optimal, *args) is ValueError
+    assert decision_bits(prev_fim_e_optimal, *args) is ValueError
+
+
 def random_prior(rng, scale):
     """A PSD prior at the filter's scales: position spread ``scale``,
     range offset up to 2 m, bearing offset up to 5 degrees, correlated."""
