@@ -100,12 +100,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_sweep(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

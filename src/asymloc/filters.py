@@ -114,23 +114,18 @@ def make_filter_config(kind: str, sigma_r: float, sigma_theta: float,
                        params: FilterParams = FilterParams()) -> FilterConfig:
     """Build the config for one of the stock filter kinds.
 
-    The ``ekf`` kind forces a single update iteration: with a quadratic
-    loss the reweighting is a no-op and one iteration is exactly the
-    textbook EKF update.
+    ``huber`` is ``proposed`` with the range loss's non-negativity relaxed
+    (the paper's degenerate case). ``ekf`` forces a single update
+    iteration: with a quadratic loss the reweighting is a no-op and one
+    iteration is exactly the textbook EKF update.
     """
-    if kind == "proposed":
-        rtt = LossSpec.one_sided(sigma_r, k=params.k_rtt)
-        aoa = LossSpec.symmetric(sigma_theta, k=params.k_aoa)
-    elif kind == "huber":
-        rtt = LossSpec.symmetric(sigma_r, k=params.k_rtt)
-        aoa = LossSpec.symmetric(sigma_theta, k=params.k_aoa)
-    elif kind == "ekf":
-        rtt = LossSpec.quadratic(sigma_r)
-        aoa = LossSpec.quadratic(sigma_theta)
-        params = dataclasses.replace(params, irls_iterations=1)
-    else:
+    if kind == "ekf":
+        return FilterConfig(LossSpec.quadratic(sigma_r), LossSpec.quadratic(sigma_theta),
+                            dataclasses.replace(params, irls_iterations=1))
+    if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
-    return FilterConfig(rtt_loss=rtt, aoa_loss=aoa, params=params)
+    rtt = (LossSpec.one_sided if kind == "proposed" else LossSpec.symmetric)(sigma_r, k=params.k_rtt)
+    return FilterConfig(rtt, LossSpec.symmetric(sigma_theta, k=params.k_aoa), params)
 
 
 def init_state(config: FilterConfig, initial_guess) -> EstimatorState:

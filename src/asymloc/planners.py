@@ -69,23 +69,26 @@ def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
     with the Jacobians evaluated at (estimate, candidate). Range and
     bearing Jacobians are orthogonal, so using both gives rank 2. The same
     entry formula is inlined in :func:`fim_e_optimal`'s candidate loop.
+    Raises ``ValueError`` wherever an entry's denominator is 0 (a candidate
+    at the estimate, or so near it that ``d2 * d2`` underflows).
     """
     dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
     d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        raise ValueError("Fisher information undefined for candidate at the estimate")
     sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
     a = b = c = 0.0
-    if sigma_r is not None:
-        k = d2 * sigma_r ** 2
-        a += dx * dx / k
-        b += dx * dy / k
-        c += dy * dy / k
-    if sigma_theta is not None:
-        k = d2 * d2 * sigma_theta ** 2
-        a += dy * dy / k
-        b -= dx * dy / k
-        c += dx * dx / k
+    try:
+        if sigma_r is not None:
+            k = d2 * sigma_r ** 2
+            a += dx * dx / k
+            b += dx * dy / k
+            c += dy * dy / k
+        if sigma_theta is not None:
+            k = d2 * d2 * sigma_theta ** 2
+            a += dy * dy / k
+            b -= dx * dy / k
+            c += dx * dx / k
+    except ZeroDivisionError:
+        raise ValueError("Fisher information undefined for candidate at the estimate") from None
     return np.array([[a, b], [b, c]])
 
 
@@ -103,9 +106,11 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
 
     Candidates are ``candidate_count`` headings on the circle of radius
     ``eta`` around the agent, plus staying put (listed last). Candidates
-    outside the arena or coincident with the estimate are excluded; scores
-    within ``1e-9 * max(1, |best|)`` of the best tie, and ties go to the
-    first surviving candidate. If nothing survives, the agent stays.
+    outside the arena or coincident with the estimate are excluded; any
+    other candidate where :func:`fim` raises ``ValueError`` makes this raise
+    it too. Scores within ``1e-9 * max(1, |best|)`` of the best tie, and
+    ties go to the first surviving candidate. If nothing survives, the
+    agent stays.
 
     With both modalities the score is a standoff rule. At distance ``d``
     from the estimate the range row contributes ``1/sigma_r^2`` along the
@@ -128,26 +133,27 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
     candidates.append((ax, ay))
 
     scores = []
-    for cx, cy in candidates:
-        if not (0.0 <= cx <= arena and 0.0 <= cy <= arena) or (cx == ex and cy == ey):
-            scores.append(-math.inf)
-            continue
-        dx, dy = ex - cx, ey - cy
-        d2 = dx * dx + dy * dy
-        if d2 == 0.0:
-            raise ValueError("Fisher information undefined for candidate at the estimate")
-        a = b = c = 0.0
-        if var_r is not None:
-            k = d2 * var_r
-            a += dx * dx / k
-            b += dx * dy / k
-            c += dy * dy / k
-        if var_theta is not None:
-            k = d2 * d2 * var_theta
-            a += dy * dy / k
-            b -= dx * dy / k
-            c += dx * dx / k
-        scores.append(0.5 * (a + c) - math.hypot(0.5 * (a - c), b))
+    try:
+        for cx, cy in candidates:
+            if not (0.0 <= cx <= arena and 0.0 <= cy <= arena) or (cx == ex and cy == ey):
+                scores.append(-math.inf)
+                continue
+            dx, dy = ex - cx, ey - cy
+            d2 = dx * dx + dy * dy
+            a = b = c = 0.0
+            if var_r is not None:
+                k = d2 * var_r
+                a += dx * dx / k
+                b += dx * dy / k
+                c += dy * dy / k
+            if var_theta is not None:
+                k = d2 * d2 * var_theta
+                a += dy * dy / k
+                b -= dx * dy / k
+                c += dx * dx / k
+            scores.append(0.5 * (a + c) - math.hypot(0.5 * (a - c), b))
+    except ZeroDivisionError:
+        raise ValueError("Fisher information undefined for candidate at the estimate") from None
     best = max(scores)
     if not math.isfinite(best):
         return ax, ay

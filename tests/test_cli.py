@@ -242,6 +242,18 @@ class TestCliRun:
         assert code == 2
         assert "kalmanator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        (("--config", "missing.ini"), 1),          # OSError: no such file
+        (("--filters", "kalmanator"), 2),          # ConfigError
+    ])
+    def test_one_error_line_and_its_exit_code(self, tmp_path, capsys, argv, code):
+        argv = [str(tmp_path / a) if a.endswith(".ini") else a for a in argv]
+        assert run_cli("run", "--preset", "canonical_low", *argv,
+                       "--out", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset_flag_names_its_config_key(self, tmp_path, capsys):
         code = run_cli("run", "--preset", "bogus", "--out", str(tmp_path))
         assert code == 2

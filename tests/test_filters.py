@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -187,6 +188,35 @@ class TestUpdate:
         filt.state = st
         assert filt.update(z) == diag
         assert filt._bias_window == [diag.residual - cfg.rtt_loss.tau]
+
+
+scale = hst.floats(1e-3, 1e3)
+
+
+class TestMakeFilterConfig:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(params=hst.builds(FilterParams, k_rtt=scale, k_aoa=scale, sigma_delta_r=scale,
+                             sigma_delta_theta_deg=scale, init_position_std=scale,
+                             irls_iterations=hst.integers(1, 10), process_noise=hst.floats(0.0, 1.0),
+                             em_enabled=hst.booleans(), em_window=hst.integers(1, 500)),
+           sigma_r=scale, sigma_theta=scale)
+    def test_each_kind_is_its_explicit_construction(self, params, sigma_r, sigma_theta):
+        bearing = LossSpec.symmetric(sigma_theta, k=params.k_aoa)
+        proposed = make_filter_config("proposed", sigma_r, sigma_theta, params)
+        assert proposed == FilterConfig(LossSpec.one_sided(sigma_r, k=params.k_rtt), bearing, params)
+        # huber is proposed with the range loss's non-negativity relaxed
+        huber = make_filter_config("huber", sigma_r, sigma_theta, params)
+        assert huber == FilterConfig(LossSpec.symmetric(sigma_r, k=params.k_rtt), bearing, params)
+        ekf = make_filter_config("ekf", sigma_r, sigma_theta, params)
+        assert (ekf.rtt_loss, ekf.aoa_loss) == (LossSpec.quadratic(sigma_r),
+                                                LossSpec.quadratic(sigma_theta))
+        assert ekf.params.irls_iterations == 1
+        assert dataclasses.replace(ekf.params, irls_iterations=params.irls_iterations) == params
+
+    def test_unknown_kind_names_the_kinds(self):
+        with pytest.raises(ValueError, match=r"^unknown filter kind 'kalman'; expected one of "
+                                             r"\('proposed', 'huber', 'ekf'\)$"):
+            make_filter_config("kalman", 1.5, 0.035)
 
 
 def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
@@ -435,6 +465,14 @@ class TestCovarianceHealth:
         st = init_state(cfg, (50.0, 50.0))
         with pytest.raises(FilterDivergenceError):
             update(st, Measurement(modality, math.nan, (10.0, 10.0)), cfg)
+
+    def test_zero_bearing_offset_variance_raises(self):
+        # a range update never touches the bearing offset's row when the
+        # prior does not couple it, so a zero prior variance there stays 0
+        state = EstimatorState((50.0, 50.0, 0.0, 0.0),
+                               (25.0, 0.0, 0.0, 0.0, 25.0, 0.0, 0.0, 4.0, 0.0, 0.0))
+        with pytest.raises(FilterDivergenceError):
+            update(state, Measurement(Modality.RTT, 57.0, (10.0, 10.0)), one_sided_config())
 
     def test_saturation_degenerates_to_dead_reckoning(self):
         # residuals so large the weight vanishes: covariance must follow the

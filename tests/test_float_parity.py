@@ -312,14 +312,22 @@ def fim_decision(draw):
 
 def decision_bits(planner, *args):
     """``planner``'s decision as the hex strings of its coordinates (so a
-    -0.0 shows), or the type of the error it raised: ``ValueError`` where
-    ``d2`` underflows to zero, ``ZeroDivisionError`` where only ``d2 * d2``
-    does."""
+    -0.0 shows), or ``ValueError`` where it raised its documented error."""
     try:
         x, y = planner(*args)
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc)
+    except ValueError:
+        return ValueError
     return float.hex(x), float.hex(y)
+
+
+def prev_decision_bits(*args):
+    """:func:`decision_bits` of the previous code, whose ``ZeroDivisionError``
+    where only the bearing term's ``d2 * d2`` underflows to zero reads as
+    the ``ValueError`` that ``fim_e_optimal`` now raises there."""
+    try:
+        return decision_bits(prev_fim_e_optimal, *args)
+    except ZeroDivisionError:
+        return ValueError
 
 
 @settings(derandomize=True, deadline=None, max_examples=1500)
@@ -327,13 +335,26 @@ def decision_bits(planner, *args):
 def test_fim_e_optimal_keeps_the_previous_decisions(case, noise):
     agent, estimate, cfg = case
     assert (decision_bits(fim_e_optimal, agent, estimate, cfg, noise)
-            == decision_bits(prev_fim_e_optimal, agent, estimate, cfg, noise))
+            == prev_decision_bits(agent, estimate, cfg, noise))
 
 
 def test_fim_e_optimal_raises_where_d2_underflows():
     args = ((0.0, 0.0), (1e-170, 0.0), PlannerConfig(), NOISE)
     assert decision_bits(fim_e_optimal, *args) is ValueError
     assert decision_bits(prev_fim_e_optimal, *args) is ValueError
+
+
+@pytest.mark.parametrize("estimate", [(0.0, 1e-160), (0.0, 1e-82)])
+def test_fim_raises_value_error_where_only_the_bearing_term_underflows(estimate):
+    # d2 stays positive here but d2 * d2 * sigma_theta**2 is 0.0 for the
+    # stay-put candidate (0, 0); the previous code divided by it
+    assert estimate[1] ** 2 > 0.0
+    with pytest.raises(ValueError, match="Fisher information undefined"):
+        fim(estimate, (0.0, 0.0), NOISE)
+    with pytest.raises(ValueError, match="Fisher information undefined"):
+        fim_e_optimal((0.0, 0.0), estimate, PlannerConfig(), NOISE)
+    with pytest.raises(ZeroDivisionError):
+        prev_fim_e_optimal((0.0, 0.0), estimate, PlannerConfig(), NOISE)
 
 
 def random_prior(rng, scale):

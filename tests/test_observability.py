@@ -44,6 +44,15 @@ class TestAccumulate:
         assert rep.lambda_min == pytest.approx(0.0, abs=1e-12)
         assert rep.lambda_max == pytest.approx(2.0 * (j @ j), rel=1e-12)
 
+    def test_negative_fp_dust_reads_zero(self):
+        # one sample's matrix is rank one, so its exact lambda_min is 0; the
+        # closed form computes -2.8e-17 from these entries
+        j, w = (-0.4821664994140733, 0.02254944273721704), 1.2743089986062015
+        rep = accumulate([CurvatureSample(j, w)])
+        assert eig_sym(*rep.entries)[0] < 0.0
+        assert rep.lambda_min == 0.0
+        assert crossing_improves(accumulate([]), CurvatureSample(j, w))[0].lambda_min == 0.0
+
     def test_entries_sum_the_rank_one_terms(self):
         rep = accumulate([sample(1.0, 2.0, 0.5), sample(-3.0, 0.25, 2.0), sample(1.0, 1.0, 0.0)])
         a, b, c = rep.entries

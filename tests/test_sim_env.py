@@ -32,6 +32,11 @@ class TestRectAndSegments:
     def test_touching_edge_counts(self):
         assert segment_intersects_rect((40.0, 0.0), (40.0, 100.0), self.RECT)
 
+    def test_grazing_a_corner_counts(self):
+        # the segment x + y = 2 meets the rectangle [1, 2] x [1, 2] at its
+        # corner (1, 1) only: the slab interval shrinks to one point
+        assert segment_intersects_rect((0.0, 2.0), (2.0, 0.0), (1.5, 1.5, 0.5, 0.5))
+
     def test_near_miss(self):
         assert not segment_intersects_rect((39.9, 0.0), (39.9, 100.0), self.RECT)
 
@@ -210,6 +215,18 @@ class TestSampleChannel:
         draws = [observe_with_draw(sc, sc.start, channel_draws(rng))[2] for _ in range(2000)]
         differing = sum(d.is_nlos != d.is_nlos_aoa for d in draws)
         assert differing > 200  # half-and-half coins disagree often
+
+    # the bearing coins sit where the stochastic rate p_nlos = 0.9 gives the
+    # other verdict: above it behind the obstacle (forced NLOS), between
+    # p_nlos_clear = 0.1 and it on a clear line of sight
+    @pytest.mark.parametrize("agent, u_aoa, nlos_aoa", [
+        ((50.0, 10.0), 0.95, True),
+        ((90.0, 90.0), 0.5, False),
+    ])
+    def test_bearing_coin_uses_the_obstacles_rate_when_not_shared(self, agent, u_aoa, nlos_aoa):
+        sc = dataclasses.replace(PRESETS["obstacle"], shared_nlos_flag=False)
+        draw = observe_with_draw(sc, agent, (0.99, u_aoa, 1.0, 0.0, 0.0, 0.0))[2]
+        assert draw.is_nlos_aoa is nlos_aoa
 
 
 class TestObserve:
