@@ -74,7 +74,8 @@ class RunMetrics:
 @dataclass(frozen=True)
 class GridSpec:
     """One experiment: scenario, combinations, ensemble size. An untimed
-    grid's metrics hold zero planner cost (:func:`aggregate`)."""
+    grid's runs read no clock, and its metrics hold zero planner cost
+    (:func:`aggregate`)."""
 
     scenario: Scenario = part(Scenario)
     filters: tuple[str, ...] = knob(("proposed", "huber"), "experiment", kind="names",
@@ -129,12 +130,13 @@ class World:
 
 
 def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
-               planner_cfg: PlannerConfig) -> RunResult:
+               planner_cfg: PlannerConfig, timing: bool = True) -> RunResult:
     """Execute one closed-loop run of ``world.scenario``, observed through
     the world's seeded draws, so deterministic for a given run seed.
 
     Step order: observe at the current pose, filter predict, range update,
-    bearing update, then the (timed) planner decision and the move.
+    bearing update, then the planner decision and the move. With ``timing``
+    the decision is timed; without, no clock is read and its cost is 0.0.
     ``planner_cfg.arena`` must equal the scenario's arena (``ValueError``).
     """
     scenario = world.scenario
@@ -165,7 +167,8 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
     # per-step calls looked up once per run, after any class-level wrapping
     predict, update = filt.predict, filt.update
     track, tracker_lambda_min, aoa_loss = tracker.add, tracker.lambda_min, filter_cfg.aoa_loss
-    next_pose, observe, clock = planner.next_pose, world.observe, time.perf_counter
+    next_pose, observe = planner.next_pose, world.observe
+    clock = time.perf_counter if timing else float  # float() is 0.0: no clock is read
     for t in range(steps):
         try:
             predict()
@@ -268,10 +271,11 @@ class CellResult:
         return [sum(t < end for end in ends) for t in range(len(self.runs[0].errors))]
 
 
-def _run_index(scenario: Scenario, configs, planner_cfg, run_seed: int) -> list[RunResult]:
+def _run_index(scenario: Scenario, configs, planner_cfg, timing: bool,
+               run_seed: int) -> list[RunResult]:
     """One run index of every cell, in cell order, sharing one :class:`World`."""
     world = World(scenario, run_seed)
-    return [run_single(world, fcfg, p, planner_cfg) for fcfg, p in configs]
+    return [run_single(world, fcfg, p, planner_cfg, timing) for fcfg, p in configs]
 
 
 # the map an enclosing _run_map block opened on its pool, which every run_grid
@@ -317,9 +321,9 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     sc = grid.scenario
     configs = [(make_filter_config(f, sc.sigma_r, sc.sigma_theta_rad, grid.filter_params), p)
                for f, p in cells]
+    run_index = functools.partial(_run_index, sc, configs, grid.planner_cfg, grid.timing)
     with _run_map(grid) as run_map:
-        results = list(run_map(functools.partial(_run_index, sc, configs, grid.planner_cfg),
-                               range(sc.seed, sc.seed + grid.n_runs)))
+        results = list(run_map(run_index, range(sc.seed, sc.seed + grid.n_runs)))
 
     out: dict[tuple[str, str], CellResult] = {}
     for c, (f, p) in enumerate(cells):
@@ -385,10 +389,11 @@ def _write_csv(path, header: list[str], rows: list[list], seed: int, preset: str
 
 def write_cell_csv(path, metrics: RunMetrics, *, seed: int, preset: str) -> None:
     """Per-step ensemble series for one cell."""
-    series = zip(metrics.rmse_series, metrics.bias_r_series, metrics.bias_theta_series,
-                 metrics.ercm_lambda_min_series, metrics.cost_series)
+    # the csv module writes a float as its repr, which is _fmt's text
+    series = np.column_stack((metrics.rmse_series, metrics.bias_r_series, metrics.bias_theta_series,
+                              metrics.ercm_lambda_min_series, metrics.cost_series)).tolist()
     _write_csv(path, ["step", "rmse", "bias_r", "bias_theta", "ercm_lambda_min", "planner_cost_s"],
-               [[t, *map(_fmt, values)] for t, values in enumerate(series)], seed, preset)
+               [[t, *values] for t, values in enumerate(series)], seed, preset)
 
 
 def summary_header(threshold: float) -> list[str]:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .geometry import CoincidentPointsError, Measurement, Modality, linearize, wrap_angle
+from .geometry import Measurement, Modality, wrap_angle
 from .knobs import check, knob
 from .losses import LossFamily, LossSpec, NoNlosEvidenceError, em_update_lambda, irls_weight, soft_threshold_bias
 
@@ -142,8 +142,8 @@ def predict(state: EstimatorState, process_noise: float) -> EstimatorState:
     """Time update for the static-target model: mean unchanged, covariance
     grows by ``process_noise * I``."""
     q, p = process_noise, state.p
-    return EstimatorState(state.m, (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5], p[6], p[7] + q,
-                                    p[8], p[9] + q))
+    return tuple.__new__(EstimatorState, (state.m, (p[0] + q, p[1], p[2], p[3], p[4] + q, p[5],
+                                                    p[6], p[7] + q, p[8], p[9] + q)))
 
 
 class FilterDivergenceError(ArithmeticError):
@@ -189,17 +189,27 @@ def update(state: EstimatorState, z: Measurement,
         md, c0, c1, c2, c3 = m2, p02, p12, p22, p23
 
     e0, e1, e2, e3 = m0, m1, m2, m3
+    ax, ay = agent
     for _ in range(config.params.irls_iterations):
-        try:
-            pred, dist, j0, j1 = linearize((e0, e1), agent, is_aoa)
-        except CoincidentPointsError:
-            return state, UpdateDiagnostics(skipped=True)
-        if is_aoa and dist < MIN_AOA_RANGE:
-            return state, UpdateDiagnostics(skipped=True)
-        ed = e3 if is_aoa else e2
-        r = value - pred - ed
+        # geometry.linearize's expressions, written out: one hypot per round
+        dx, dy = e0 - ax, e1 - ay
+        d = math.hypot(dx, dy)
         if is_aoa:
-            r = wrap_angle(r)
+            # covers linearize's raises too: d == 0, and d * d == 0 below 1.5e-162 m
+            if d < MIN_AOA_RANGE:
+                return state, UpdateDiagnostics(skipped=True)
+            d2 = d * d
+            ed = e3
+            r = value - math.atan2(dy, dx) - ed
+            if not -math.pi < r <= math.pi:
+                r = wrap_angle(r)
+            j0, j1 = -dy / d2, dx / d2
+        elif d == 0.0:
+            return state, UpdateDiagnostics(skipped=True)
+        else:
+            ed = e2
+            r = value - d - ed
+            j0, j1 = dx / d, dy / d
         w = irls_weight(r, spec)
         h0 = p00 * j0 + p01 * j1 + c0
         h1 = p01 * j0 + p11 * j1 + c1
@@ -211,28 +221,36 @@ def update(state: EstimatorState, z: Measurement,
         innov = r + (j0 * (e0 - m0) + j1 * (e1 - m1) + (ed - md))
         e0, e1, e2, e3 = m0 + k0 * innov, m1 + k1 * innov, m2 + k2 * innov, m3 + k3 * innov
 
-    # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor
-    n00 = p00 - k0 * h0 - h0 * k0 + S * k0 * k0
-    n01 = p01 - k0 * h1 - h0 * k1 + S * k0 * k1
-    n02 = p02 - k0 * h2 - h0 * k2 + S * k0 * k2
-    n03 = p03 - k0 * h3 - h0 * k3 + S * k0 * k3
-    n11 = p11 - k1 * h1 - h1 * k1 + S * k1 * k1
-    n12 = p12 - k1 * h2 - h1 * k2 + S * k1 * k2
-    n13 = p13 - k1 * h3 - h1 * k3 + S * k1 * k3
-    n22 = p22 - k2 * h2 - h2 * k2 + S * k2 * k2
-    n23 = p23 - k2 * h3 - h2 * k3 + S * k2 * k3
-    n33 = p33 - k3 * h3 - h3 * k3 + S * k3 * k3
-    if not (all(map(math.isfinite, (e0, e1, e2, e3, n00, n01, n02, n03, n11, n12, n13,
-                                    n22, n23, n33)))
+    # the final round's S = H^T P H + R_eff is the Joseph form's K K^T factor;
+    # k * h == h * k and S * ki * kj == (S * ki) * kj bit for bit, so each
+    # diagonal product ti and each si = S * ki is computed once
+    t0, t1, t2, t3 = k0 * h0, k1 * h1, k2 * h2, k3 * h3
+    s0, s1, s2, s3 = S * k0, S * k1, S * k2, S * k3
+    n00 = p00 - t0 - t0 + s0 * k0
+    n01 = p01 - k0 * h1 - h0 * k1 + s0 * k1
+    n02 = p02 - k0 * h2 - h0 * k2 + s0 * k2
+    n03 = p03 - k0 * h3 - h0 * k3 + s0 * k3
+    n11 = p11 - t1 - t1 + s1 * k1
+    n12 = p12 - k1 * h2 - h1 * k2 + s1 * k2
+    n13 = p13 - k1 * h3 - h1 * k3 + s1 * k3
+    n22 = p22 - t2 - t2 + s2 * k2
+    n23 = p23 - k2 * h3 - h2 * k3 + s2 * k3
+    n33 = p33 - t3 - t3 + s3 * k3
+    m = (e0, e1, e2, e3)
+    p = (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33)
+    # a non-finite entry makes the sum non-finite, so only a sum that
+    # overflows from finite entries reaches the entrywise test
+    total = e0 + e1 + e2 + e3 + n00 + n01 + n02 + n03 + n11 + n12 + n13 + n22 + n23 + n33
+    if not ((math.isfinite(total) or all(map(math.isfinite, m + p)))
             and min(n00, n11, n22, n33) > 0.0):
         raise FilterDivergenceError(
-            f"{modality.value} update gave mean {[e0, e1, e2, e3]} "
+            f"{modality.value} update gave mean {list(m)} "
             f"and variances {[n00, n11, n22, n33]}")
-    new_state = EstimatorState((e0, e1, e2, e3), (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33))
 
     # diagnostics carry the final round's residual, weight and Jacobian: the
     # ones that produced the applied gain; built positionally, in field order
-    return new_state, tuple.__new__(UpdateDiagnostics, (r, w, (j0, j1), False))
+    return (tuple.__new__(EstimatorState, (m, p)),
+            tuple.__new__(UpdateDiagnostics, (r, w, (j0, j1), False)))
 
 
 class RobustEkf:

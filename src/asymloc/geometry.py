@@ -2,10 +2,12 @@
 
 The world is a flat 2D plane (nadir-view abstraction: the agent flies at a
 known, constant altitude, so the vertical axis never enters the math). This
-module holds the one observation model, which the world measures and the
-filter linearizes through: :func:`linearize` predicts a :class:`Measurement`
-with its position Jacobian. Angle arithmetic completes it. A point is
-anything indexable as ``p[0]``, ``p[1]``: an ``(x, y)`` tuple or an array.
+module holds the one observation model: :func:`linearize` predicts a
+:class:`Measurement` with its position Jacobian, and the world measures
+through it. ``filters.update`` writes its expressions inline in each IRLS
+round, and a property test pins that round to :func:`linearize` bit for
+bit. Angle arithmetic completes it. A point is anything indexable as
+``p[0]``, ``p[1]``: an ``(x, y)`` tuple or an array.
 """
 
 from __future__ import annotations

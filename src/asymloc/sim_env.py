@@ -125,8 +125,8 @@ def channel_draws(rng: np.random.Generator) -> tuple:
     """One step's six raw draws, in order: the shared and the bearing
     blockage coins, the range-bias exponential, and the bearing-bias,
     range-noise and bearing-noise standard normals."""
-    return (rng.random(), rng.random(), rng.standard_exponential(),
-            rng.standard_normal(), rng.standard_normal(), rng.standard_normal())
+    # one call per kind draws the stream of one call per draw
+    return (*rng.random(2).tolist(), rng.standard_exponential(), *rng.standard_normal(3).tolist())
 
 
 def observe_with_draw(scenario: Scenario, agent,

@@ -190,6 +190,26 @@ class TestRunSingle:
             costs[planner] = float(np.nanmean(res.planner_cost))
         assert costs["fim"] > 3.0 * costs["passive"]
 
+    def test_an_untimed_grid_reads_no_clock(self, monkeypatch):
+        # a timed run reads the clock before and after each decision; the
+        # runs of an untimed grid never, and record each decision's cost as 0.0
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=30)
+        clock, reads = experiment.time.perf_counter, []
+
+        def counted():
+            reads.append(None)
+            return clock()
+        monkeypatch.setattr(experiment.time, "perf_counter", counted)
+        runs = {}
+        for timing in (False, True):
+            grid = GridSpec(scenario=sc, filters=("proposed",), planners=("fim",), n_runs=1,
+                            timing=timing)
+            runs[timing] = run_grid(grid)[("proposed", "fim")].runs[0]
+            assert len(reads) == (2 * sc.steps if timing else 0)
+        assert (runs[False].planner_cost == 0.0).all()
+        assert (runs[True].planner_cost > 0.0).any()
+        assert np.array_equal(runs[True].errors, runs[False].errors)
+
     def test_lambda_min_series_recorded(self):
         sc = dataclasses.replace(PRESETS["canonical_medium"], steps=40)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)

@@ -5,14 +5,14 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from asymloc import filters
 from asymloc.filters import (FILTER_KINDS, EstimatorState, FilterConfig, FilterDivergenceError,
                              FilterParams, RobustEkf, UpdateDiagnostics, init_state,
                              make_filter_config, predict, update)
-from asymloc.geometry import CoincidentPointsError, Measurement, Modality, wrap_angle
+from asymloc.geometry import CoincidentPointsError, Measurement, Modality, linearize, wrap_angle
 from asymloc.losses import LossSpec, loss, soft_threshold_bias
 from arrays import belief, cov_of, h_aoa, h_rtt, mean_of
 
@@ -241,59 +241,105 @@ def map_objective(x1, x2, dr, dt, measurements, cfg, guess, init_std):
 
 
 class TestUpdateCallCounts:
-    """One ``linearize`` and one ``irls_weight`` call per IRLS round, and
-    none after a skip: the benchmark's per-round and per-step call counts
-    read these calls."""
+    """One ``irls_weight`` call per IRLS round, and none after a skip: the
+    benchmark's per-round cost and per-step loss calls read this call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"linearize": 0, "irls_weight": 0}
-        fail_at = {"linearize": None}
+        counts = {"irls_weight": 0}
+        weight = filters.irls_weight
 
-        def counted(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                if counts[name] == fail_at.get(name):
-                    raise CoincidentPointsError("forced skip")
-                return fn(*args)
-            return wrapper
-        for name in counts:
-            monkeypatch.setattr(filters, name, counted(name, getattr(filters, name)))
-        return counts, fail_at
+        def counted(*args):
+            counts["irls_weight"] += 1
+            return weight(*args)
+        monkeypatch.setattr(filters, "irls_weight", counted)
+        return counts
 
     @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
     @pytest.mark.parametrize("rounds", [1, 3, 10])
     def test_once_per_round(self, calls, modality, rounds):
-        counts, _ = calls
         cfg = one_sided_config(irls_iterations=rounds)
         agent = (10.0, 20.0)
         value = (h_rtt((40.0, 50.0), agent) + 3.0 if modality is Modality.RTT
                  else h_aoa((40.0, 50.0), agent) + 0.1)
         _, diag = update(init_state(cfg, (40.0, 50.0)), Measurement(modality, value, agent), cfg)
         assert not diag.skipped
-        assert counts == {"linearize": rounds, "irls_weight": rounds}
+        assert calls == {"irls_weight": rounds}
 
     @pytest.mark.parametrize("guess, modality", [((10.0, 20.0), Modality.RTT),
                                                  ((10.0, 20.0), Modality.AOA),
                                                  ((10.5, 20.0), Modality.AOA)])
     def test_skip_in_the_first_round_stops_before_the_weight(self, calls, guess, modality):
         # coincident estimate (both modalities), then AoA under MIN_AOA_RANGE
-        counts, _ = calls
         cfg = one_sided_config()
         state = init_state(cfg, guess)
         new_state, diag = update(state, Measurement(modality, 0.3, (10.0, 20.0)), cfg)
         assert diag.skipped and new_state is state
-        assert counts == {"linearize": 1, "irls_weight": 0}
+        assert calls == {"irls_weight": 0}
+
+    # from (11, 10) seen at (10, 10), the range reading -1/320 m moves the
+    # first iterate exactly 1 m along -x, onto the agent, so round 2 skips;
+    # the bearing 0.3 rad brings the iterate within MIN_AOA_RANGE by round 3
+    LATER_SKIPS = {Modality.RTT: (-0.003125, 1), Modality.AOA: (0.3, 2)}
 
     @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
     def test_skip_in_a_later_round_stops_there(self, calls, modality):
-        counts, fail_at = calls
-        fail_at["linearize"] = 2
+        value, weights = self.LATER_SKIPS[modality]
         cfg = one_sided_config(irls_iterations=5)
-        state = init_state(cfg, (40.0, 50.0))
-        new_state, diag = update(state, Measurement(modality, 0.3, (10.0, 20.0)), cfg)
+        state = init_state(cfg, (11.0, 10.0))
+        new_state, diag = update(state, Measurement(modality, value, (10.0, 10.0)), cfg)
         assert diag.skipped and new_state is state
-        assert counts == {"linearize": 2, "irls_weight": 1}
+        assert calls == {"irls_weight": weights}
+
+
+# distances from the agent at the edges of the skip rules: 1e-160 to 1e-80 m
+# (d * d subnormal or tiny), d * d underflowing to 0, the estimate on the
+# agent, and MIN_AOA_RANGE exactly and one ulp either side of it
+EDGE_DISTANCES = [0.0, 1e-170, 1e-160, 1e-80, math.nextafter(filters.MIN_AOA_RANGE, 0.0),
+                  filters.MIN_AOA_RANGE, math.nextafter(filters.MIN_AOA_RANGE, 2.0)]
+
+
+# the edges each as one explicit case: a bearing from exactly MIN_AOA_RANGE,
+# a raw bearing residual of -pi, d * d underflowing, a range from 1e-160 m
+@example(Modality.AOA, (0.0, 0.0), filters.MIN_AOA_RANGE, 0.0, (0.0, 0.0), 0.3)
+@example(Modality.AOA, (0.0, 0.0), 5.0, 0.0, (0.0, 0.0), -math.pi)
+@example(Modality.AOA, (0.0, 0.0), 1e-170, 0.0, (0.0, 0.0), 0.3)
+@example(Modality.RTT, (0.0, 0.0), 1e-160, 0.0, (0.0, 0.0), 2.0)
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(modality=hst.sampled_from([Modality.RTT, Modality.AOA]),
+       agent=hst.sampled_from([(0.0, 0.0), (10.0, -20.0)])
+       | hst.tuples(hst.floats(-100.0, 100.0), hst.floats(-100.0, 100.0)),
+       dist=hst.sampled_from(EDGE_DISTANCES) | hst.floats(1e-160, 1e-80)
+       | hst.floats(1e-3, 150.0),
+       angle=hst.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi])
+       | hst.floats(-math.pi, math.pi),
+       offsets=hst.tuples(hst.floats(-5.0, 5.0), hst.sampled_from([0.0]) | hst.floats(-0.5, 0.5)),
+       value=hst.sampled_from([math.pi, -math.pi]) | hst.floats(-4.0, 150.0))
+def test_one_round_is_linearize_at_the_prior_mean(modality, agent, dist, angle, offsets, value):
+    # update writes linearize's model out: at the prior mean, one round's
+    # residual (wrapped for a bearing) and Jacobian are linearize's bits,
+    # and it skips exactly where linearize raises or a bearing comes from
+    # closer than MIN_AOA_RANGE; along an axis from an agent at the origin
+    # the drawn distance is exact, and a bearing residual can be -pi or pi
+    cfg = one_sided_config(irls_iterations=1)
+    target = (agent[0] + dist * math.cos(angle), agent[1] + dist * math.sin(angle))
+    state = EstimatorState((*target, *offsets), init_state(cfg, target).p)
+    is_aoa = modality is Modality.AOA
+    new_state, diag = update(state, Measurement(modality, value, agent), cfg)
+    try:
+        pred, d, j0, j1 = linearize(target, agent, is_aoa)
+    except CoincidentPointsError:
+        assert diag.skipped and new_state is state
+        return
+    if is_aoa and d < filters.MIN_AOA_RANGE:
+        assert diag.skipped and new_state is state
+        return
+    r = value - pred - offsets[1 if is_aoa else 0]
+    if is_aoa:
+        r = wrap_angle(r)
+    assert not diag.skipped
+    assert [diag.residual.hex(), *(j.hex() for j in diag.jacobian_pos)] == [r.hex(), j0.hex(),
+                                                                           j1.hex()]
 
 
 class TestMapOracle:

@@ -148,6 +148,17 @@ class TestSampleChannel:
         assert got == want
         assert all(type(v) is float for v in got[0])
 
+    def test_channel_draws_keep_the_scalar_stream_at_every_seed(self):
+        # the coins and the normals each come from one vector call, which
+        # reads the generator's stream as one scalar call per draw does,
+        # rejection steps of the normal sampler included
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [channel_draws(rng) for _ in range(60)]
+            want = [(ref.random(), ref.random(), ref.standard_exponential(), ref.standard_normal(),
+                     ref.standard_normal(), ref.standard_normal()) for _ in range(60)]
+            assert got == want, seed
+
     def test_los_only_when_p_zero(self):
         sc = Scenario(p_nlos=0.0)
         rng = np.random.default_rng(0)

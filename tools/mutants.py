@@ -109,6 +109,26 @@ MUTANTS = [
            "not (0.0 <= cx <= arena and 0.0 <= cy <= arena)",
            "not (0.0 <= cx < arena and 0.0 <= cy <= arena)",
            "a candidate on the arena's far x edge is excluded"),
+    Mutant("src/asymloc/filters.py",
+           "            if d < MIN_AOA_RANGE:",
+           "            if d <= MIN_AOA_RANGE:",
+           "a bearing from exactly MIN_AOA_RANGE is skipped"),
+    Mutant("src/asymloc/filters.py",
+           "            if not -math.pi < r <= math.pi:",
+           "            if not -math.pi <= r <= math.pi:",
+           "a raw bearing residual of -pi is not wrapped to pi"),
+    Mutant("src/asymloc/filters.py",
+           "        elif d == 0.0:",
+           "        elif d < 0.0:",
+           "a range update from the agent's own position is not skipped"),
+    Mutant("src/asymloc/filters.py",
+           "    n33 = p33 - t3 - t3 + s3 * k3",
+           "    n33 = p33 - t3 + s3 * k3",
+           "the Joseph form subtracts k3 * h3 from the bearing-offset variance once"),
+    Mutant("src/asymloc/sim_env.py",
+           "rng.standard_exponential(), *rng.standard_normal(3).tolist())",
+           "*rng.standard_normal(3).tolist(), rng.standard_exponential())",
+           "the channel draws its normals before the exponential"),
 ]
 
 
