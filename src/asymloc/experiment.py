@@ -74,8 +74,8 @@ class RunMetrics:
 @dataclass(frozen=True)
 class GridSpec:
     """One experiment: scenario, combinations, ensemble size. An untimed
-    grid's runs read no clock, and its metrics hold zero planner cost
-    (:func:`aggregate`)."""
+    grid's runs read no clock and record a planner cost of 0.0 at every
+    step (:func:`run_single`), so its metrics hold zero planner cost."""
 
     scenario: Scenario = part(Scenario)
     filters: tuple[str, ...] = knob(("proposed", "huber"), "experiment", kind="names",
@@ -136,7 +136,9 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
 
     Step order: observe at the current pose, filter predict, range update,
     bearing update, then the planner decision and the move. With ``timing``
-    the decision is timed; without, no clock is read and its cost is 0.0.
+    the decision is timed, and an aborted run's cost is NaN from its abort
+    on, like every other series; without, no clock is read and the cost is
+    0.0 at every step, the aborted ones included.
     ``planner_cfg.arena`` must equal the scenario's arena (``ValueError``).
     """
     scenario = world.scenario
@@ -194,7 +196,9 @@ def run_single(world: World, filter_cfg: FilterConfig, planner_kind: str,
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
 
-    table = np.array(rows + [(math.nan,) * 8] * (steps - len(rows)))
+    # the rows from an abort on: NaN, except an untimed run's cost of 0.0
+    pad = (math.nan,) * 5 + (math.nan if timing else 0.0,) + (math.nan,) * 2
+    table = np.array(rows + [pad] * (steps - len(rows)))
     # one elementwise np.hypot gives the bits of the per-step scalar call
     # (math.hypot may differ in the last bit)
     errors = np.hypot(table[:, 0] - tx, table[:, 1] - ty)
@@ -213,16 +217,17 @@ def _live_mean(x: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     return np.divide(total, count, out=np.full(np.shape(total), math.nan), where=count > 0)
 
 
-def aggregate(runs: Sequence[RunResult], threshold: float, timing: bool = True) -> RunMetrics:
+def aggregate(runs: Sequence[RunResult], threshold: float) -> RunMetrics:
     """Reduce an ensemble of runs to the cell metrics.
 
     ``rmse_series[t]`` is the root mean square of the per-run errors at t.
     ``steps_to_threshold`` uses settle semantics: the first step from which
     the RMSE stays at or below the threshold for the rest of the run
     (first-crossing would flatter methods that dip and bounce back).
-    With ``timing=False`` the metrics hold no wall-clock data: the planner
-    cost is reduced from zeros, so ``mean_cost_per_step`` and every step of
-    ``cost_series`` read 0.0, also at a step every run aborted before.
+    The planner cost is reduced as the runs recorded it: untimed runs hold
+    0.0 at every step (:func:`run_single`), so their ``mean_cost_per_step``
+    and every step of their ``cost_series`` read 0.0, also at a step every
+    run aborted before.
     """
     if len(runs) == 0:
         raise ValueError("need at least one run")
@@ -236,7 +241,7 @@ def aggregate(runs: Sequence[RunResult], threshold: float, timing: bool = True) 
         settle = None
     else:
         settle = int(np.max(np.nonzero(above)[0])) + 1
-    cost = np.stack([r.planner_cost for r in runs]) if timing else np.zeros(err.shape)
+    cost = np.stack([r.planner_cost for r in runs])
     return RunMetrics(
         rmse_series=rmse,
         steps_to_threshold=settle,
@@ -328,7 +333,7 @@ def run_grid(grid: GridSpec) -> dict[tuple[str, str], CellResult]:
     out: dict[tuple[str, str], CellResult] = {}
     for c, (f, p) in enumerate(cells):
         cell_runs = [runs[c] for runs in results]
-        out[(f, p)] = CellResult(f, p, aggregate(cell_runs, grid.threshold, grid.timing), cell_runs)
+        out[(f, p)] = CellResult(f, p, aggregate(cell_runs, grid.threshold), cell_runs)
     return out
 
 
@@ -354,14 +359,17 @@ def sweep(parameter: str, values: Sequence[float], base: GridSpec) -> list[Sweep
     """Re-run the grid once per parameter value (same seed base across
     values, so rows are paired on the underlying noise draws).
 
-    ``parameter`` must be one of ``SWEEP_PARAMETERS`` and every value must
-    pass the knob's bounds (``ValueError`` before any run starts). The
+    ``parameter`` must be one of ``SWEEP_PARAMETERS``, and every value, as
+    given, must pass the knob's type rule and bounds (``ValueError`` before
+    any run starts: a bool or a string is refused, not coerced). The
     values run inside one :func:`_run_map` block, so at more than one worker
     one process pool serves every value's :func:`run_grid` call and is shut
     down before this returns or raises.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
+    for v in values:  # the knob's type rule, before float() takes a bool or a string
+        _swept(base, parameter, v)
     values = [float(v) for v in values]
     grids = [dataclasses.replace(base, **_swept(base, parameter, v)) for v in values]
     with _run_map(base):

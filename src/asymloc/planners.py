@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .geometry import Modality
 from .knobs import check, knob
 
@@ -62,34 +60,33 @@ def reactive_crossing(agent, estimate, cfg: PlannerConfig) -> tuple[float, float
             min(max(ay + cfg.eta * vy / v_norm, 0.0), cfg.arena))
 
 
-def fim(estimate, candidate, noise: Mapping[Modality, float]) -> np.ndarray:
-    """Single-measurement Fisher information of the position, 2x2.
+def fim(estimate, candidate, noise: Mapping[Modality, float]) -> tuple[float, float, float]:
+    """Single-measurement Fisher information of the position: the floats
+    ``(a, b, c)`` of the symmetric 2x2 ``[[a, b], [b, c]]``.
 
-    Sum over the modalities present in ``noise`` of ``J J^T / sigma^2``
-    with the Jacobians evaluated at (estimate, candidate). Range and
-    bearing Jacobians are orthogonal, so using both gives rank 2. The same
-    entry formula is inlined in :func:`fim_e_optimal`'s candidate loop.
-    Raises ``ValueError`` wherever an entry's denominator is 0 (a candidate
-    at the estimate, or so near it that ``d2 * d2`` underflows).
+    The sum of ``J J^T / sigma^2`` over the range and the bearing rows, with
+    the Jacobians evaluated at (estimate, candidate) and each sigma read from
+    ``noise``; a map without both modalities raises the ``KeyError`` that
+    names the missing one. Range and bearing Jacobians are orthogonal, so
+    the sum has rank 2. The same entry formula is inlined in
+    :func:`fim_e_optimal`'s candidate loop. Raises ``ValueError`` wherever
+    an entry's denominator is 0 (a candidate at the estimate, or so near it
+    that ``d2 * d2`` underflows).
     """
-    dx, dy = estimate[0] - candidate[0], estimate[1] - candidate[1]
+    dx, dy = float(estimate[0]) - float(candidate[0]), float(estimate[1]) - float(candidate[1])
     d2 = dx * dx + dy * dy
-    sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
+    k_r, k_theta = d2 * noise[Modality.RTT] ** 2, d2 * d2 * noise[Modality.AOA] ** 2
     a = b = c = 0.0
     try:
-        if sigma_r is not None:
-            k = d2 * sigma_r ** 2
-            a += dx * dx / k
-            b += dx * dy / k
-            c += dy * dy / k
-        if sigma_theta is not None:
-            k = d2 * d2 * sigma_theta ** 2
-            a += dy * dy / k
-            b -= dx * dy / k
-            c += dx * dx / k
+        a += dx * dx / k_r
+        b += dx * dy / k_r
+        c += dy * dy / k_r
+        a += dy * dy / k_theta
+        b -= dx * dy / k_theta
+        c += dx * dx / k_theta
     except ZeroDivisionError:
         raise ValueError("Fisher information undefined for candidate at the estimate") from None
-    return np.array([[a, b], [b, c]])
+    return a, b, c
 
 
 @functools.lru_cache
@@ -108,14 +105,15 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
     ``eta`` around the agent, plus staying put (listed last). Candidates
     outside the arena or coincident with the estimate are excluded; any
     other candidate where :func:`fim` raises ``ValueError`` makes this raise
-    it too. Scores within ``1e-9 * max(1, |best|)`` of the best tie, and
-    ties go to the first surviving candidate. If nothing survives, the
+    it too, and ``noise`` without both modalities raises :func:`fim`'s
+    ``KeyError``. Scores within ``1e-9 * max(1, |best|)`` of the best tie,
+    and ties go to the first surviving candidate. If nothing survives, the
     agent stays.
 
-    With both modalities the score is a standoff rule. At distance ``d``
-    from the estimate the range row contributes ``1/sigma_r^2`` along the
-    radial direction and the bearing row ``1/(d^2 sigma_theta^2)`` along the
-    tangential one, so ``lambda_min = min(1/sigma_r^2, 1/(d^2 sigma_theta^2))``.
+    The score is a standoff rule. At distance ``d`` from the estimate the
+    range row contributes ``1/sigma_r^2`` along the radial direction and the
+    bearing row ``1/(d^2 sigma_theta^2)`` along the tangential one, so
+    ``lambda_min = min(1/sigma_r^2, 1/(d^2 sigma_theta^2))``.
     Every candidate within ``d* = sigma_r / sigma_theta`` of the estimate
     (43 m on ``canonical_medium``) ties at ``1/sigma_r^2`` and the first
     such candidate wins; if none is that close, the nearest candidate wins.
@@ -125,9 +123,7 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
     """
     ax, ay = float(agent[0]), float(agent[1])
     ex, ey = float(estimate[0]), float(estimate[1])
-    sigma_r, sigma_theta = noise.get(Modality.RTT), noise.get(Modality.AOA)
-    var_r = None if sigma_r is None else sigma_r ** 2
-    var_theta = None if sigma_theta is None else sigma_theta ** 2
+    var_r, var_theta = noise[Modality.RTT] ** 2, noise[Modality.AOA] ** 2
     arena = cfg.arena
     candidates = [(ax + ox, ay + oy) for ox, oy in _ring(cfg.candidate_count, cfg.eta)]
     candidates.append((ax, ay))
@@ -140,17 +136,14 @@ def fim_e_optimal(agent, estimate, cfg: PlannerConfig,
                 continue
             dx, dy = ex - cx, ey - cy
             d2 = dx * dx + dy * dy
+            k_r, k_theta = d2 * var_r, d2 * d2 * var_theta
             a = b = c = 0.0
-            if var_r is not None:
-                k = d2 * var_r
-                a += dx * dx / k
-                b += dx * dy / k
-                c += dy * dy / k
-            if var_theta is not None:
-                k = d2 * d2 * var_theta
-                a += dy * dy / k
-                b -= dx * dy / k
-                c += dx * dx / k
+            a += dx * dx / k_r
+            b += dx * dy / k_r
+            c += dy * dy / k_r
+            a += dy * dy / k_theta
+            b -= dx * dy / k_theta
+            c += dx * dx / k_theta
             scores.append(0.5 * (a + c) - math.hypot(0.5 * (a - c), b))
     except ZeroDivisionError:
         raise ValueError("Fisher information undefined for candidate at the estimate") from None

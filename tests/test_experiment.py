@@ -55,6 +55,19 @@ def make_run(errors):
                      trajectory=np.zeros((n, 2)))
 
 
+def nan_range_at(monkeypatch, k):
+    """Make every run's range reading at step ``k`` NaN: the posterior turns
+    non-finite there, so the run aborts at step ``k``."""
+    observe = World.observe
+
+    def nan_at_k(world, agent, step):
+        m_rtt, m_aoa, draw, clamped = observe(world, agent, step)
+        if step == k:
+            m_rtt = m_rtt._replace(value=math.nan)
+        return m_rtt, m_aoa, draw, clamped
+    monkeypatch.setattr(World, "observe", nan_at_k)
+
+
 class TestAggregate:
     def test_settle_simple(self):
         m = aggregate([make_run([3.0, 2.0, 1.0])], threshold=2.5)
@@ -98,13 +111,12 @@ class TestAggregate:
         assert cell.live_runs == [2, 1, 1]
 
     @staticmethod
-    def aborted_at_step_4(cost=0.0):
+    def aborted_at_step_4():
         """Two runs that abort at step 4, 9 m off, each planner decision
-        before it having taken ``cost`` seconds."""
+        before it having taken no time."""
         runs = []
         for _ in range(2):
             run = make_run([9.0] * 4 + [math.nan] * 6)
-            run.planner_cost[:4] = cost
             for series in (run.bias_r, run.bias_theta, run.lambda_min, run.planner_cost):
                 series[4:] = math.nan
             run.aborted_at = 4
@@ -126,18 +138,29 @@ class TestAggregate:
         assert m.mean_cost_per_step == 0.0
 
     @pytest.mark.filterwarnings("error")
-    def test_untimed_metrics_hold_zero_cost(self, tmp_path):
-        # the untimed reduction drops the measured cost: zero at every step,
-        # also where the timed series reads NaN because every run aborted
-        timed = aggregate(self.aborted_at_step_4(cost=1e-5), threshold=2.5)
-        m = aggregate(self.aborted_at_step_4(cost=1e-5), threshold=2.5, timing=False)
-        assert timed.mean_cost_per_step > 0.0 and np.isnan(timed.cost_series[4:]).all()
+    def test_untimed_metrics_hold_zero_cost(self, monkeypatch, tmp_path):
+        # an untimed run records a cost of 0.0 at every step, also from its
+        # abort on, so its cell reads zero cost where the timed cell's cost,
+        # like every other series, is NaN at the steps every run aborted before
+        nan_range_at(monkeypatch, 4)
+        sc = dataclasses.replace(PRESETS["canonical_medium"], steps=10)
+        cells = {timing: run_grid(GridSpec(scenario=sc, filters=("proposed",),
+                                           planners=("reactive",), n_runs=1,
+                                           timing=timing))[("proposed", "reactive")]
+                 for timing in (False, True)}
+        timed, untimed = cells[True], cells[False]
+        assert timed.runs[0].aborted_at == untimed.runs[0].aborted_at == 4
+        assert np.isnan(timed.runs[0].planner_cost[4:]).all()
+        assert np.isnan(timed.metrics.cost_series[4:]).all()
+        assert timed.metrics.mean_cost_per_step > 0.0
+        m = untimed.metrics
+        assert untimed.runs[0].planner_cost.tolist() == [0.0] * 10
         assert m.mean_cost_per_step == 0.0
         assert m.cost_series.tolist() == [0.0] * 10
         for name in ("rmse_series", "bias_r_series", "bias_theta_series",
                      "ercm_lambda_min_series"):
-            np.testing.assert_array_equal(getattr(m, name), getattr(timed, name))
-        assert summary_fields("proposed (passive)", m)[3] == "0.0"
+            np.testing.assert_array_equal(getattr(m, name), getattr(timed.metrics, name))
+        assert summary_fields("proposed (reactive)", m)[3] == "0.0"
         path = tmp_path / "cell.csv"
         write_cell_csv(path, m, seed=0, preset="p")
         written = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[2:]]
@@ -231,14 +254,7 @@ class TestRunSingle:
         # a NaN range at step k leaves a non-finite posterior: the run stops
         # there and its series are NaN from k on
         k = 7
-        observe = World.observe
-
-        def nan_at_k(world, agent, step):
-            m_rtt, m_aoa, draw, clamped = observe(world, agent, step)
-            if step == k:
-                m_rtt = m_rtt._replace(value=math.nan)
-            return m_rtt, m_aoa, draw, clamped
-        monkeypatch.setattr(World, "observe", nan_at_k)
+        nan_range_at(monkeypatch, k)
         sc = dataclasses.replace(PRESETS["canonical_medium"], steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
@@ -252,14 +268,7 @@ class TestRunSingle:
         # every per-step series, not only the errors, is finite up to the
         # abort step and NaN from it on; at k = 0 the NaN range also seeds
         # the belief, so nothing is recorded at all
-        observe = World.observe
-
-        def nan_at_k(world, agent, step):
-            m_rtt, m_aoa, draw, clamped = observe(world, agent, step)
-            if step == k:
-                m_rtt = m_rtt._replace(value=math.nan)
-            return m_rtt, m_aoa, draw, clamped
-        monkeypatch.setattr(World, "observe", nan_at_k)
+        nan_range_at(monkeypatch, k)
         sc = dataclasses.replace(PRESETS["canonical_medium"], steps=20)
         fc = make_filter_config("proposed", sc.sigma_r, sc.sigma_theta_rad)
         res = run_single(World(sc, 4), fc, "reactive", PlannerConfig(arena=sc.arena))
@@ -589,6 +598,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="p_nlos"):
             sweep("p_nlos", [0.5, 1.5], base)
         assert grids == [] and pools == []
+
+    def test_values_keep_the_knobs_type_rule(self, monkeypatch, pools):
+        # each value is checked as given, before float() would coerce it: a
+        # bool or a numeric string is refused before any run or pool starts,
+        # as GridSpec refuses it, while ints and numpy floats run as floats
+        grids = []
+        monkeypatch.setattr(experiment, "run_grid", grids.append)
+        base = dataclasses.replace(self.BASE, n_jobs=2)
+        for bad in (True, "0.5"):
+            with pytest.raises(ValueError, match=f"p_nlos: expected a number, got {bad!r}"):
+                sweep("p_nlos", [0.2, bad], base)
+        assert grids == [] and pools == []
+        monkeypatch.setattr(experiment, "run_grid", run_grid)
+        rows = sweep("p_nlos", [0, np.float64(0.5)], self.BASE)
+        assert [type(r.value) for r in rows] == [float] * 4
+        assert [r.value for r in rows] == [0.0, 0.0, 0.5, 0.5]
+        for a, b in zip(rows, sweep("p_nlos", [0.0, 0.5], self.BASE)):
+            assert a.metrics.rmse_series.tobytes() == b.metrics.rmse_series.tobytes()
 
     def test_one_pool_serves_every_value(self, pools):
         values = [0.2, 0.5, 0.8]

@@ -71,9 +71,15 @@ class TestReactiveCrossing:
 
 
 class TestFim:
-    def test_rtt_only_rank_one(self):
-        m = fim((10.0, 0.0), (0.0, 0.0), {Modality.RTT: 1.0})
-        np.testing.assert_allclose(m, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    def test_each_modality_informs_its_own_axis(self):
+        # from (d, 0) the range row lies along x (radial) and the bearing
+        # row along y (tangential)
+        s_r, s_t = NOISE[Modality.RTT], NOISE[Modality.AOA]
+        for d in (0.5, 10.0, 80.0):
+            a, b, c = fim((d, 0.0), (0.0, 0.0), NOISE)
+            assert a == pytest.approx(1.0 / s_r**2, rel=1e-15)
+            assert b == 0.0
+            assert c == pytest.approx(1.0 / (d * d * s_t**2), rel=1e-15)
 
     def test_both_modalities_rank_two(self):
         rng = np.random.default_rng(7)
@@ -82,16 +88,16 @@ class TestFim:
             cand = rng.uniform(0, 100, 2)
             if np.linalg.norm(est - cand) < 1e-6:
                 continue
-            m = fim(est, cand, NOISE)
-            assert np.linalg.matrix_rank(m) == 2
+            a, b, c = fim(est, cand, NOISE)
+            assert a * c - b * b > 0.0
 
     def test_aoa_information_quarters_with_doubled_distance(self):
-        near = fim((20.0, 0.0), (0.0, 0.0), {Modality.AOA: 0.035})
-        far = fim((40.0, 0.0), (0.0, 0.0), {Modality.AOA: 0.035})
-        ev_near = np.linalg.eigvalsh(near)
-        ev_far = np.linalg.eigvalsh(far)
-        assert ev_near[0] == pytest.approx(0.0, abs=1e-15)
-        assert ev_far[1] == pytest.approx(ev_near[1] / 4.0, rel=1e-12)
+        # the tangential (bearing) entry falls as 1/d^2; the radial (range)
+        # entry does not depend on d
+        near = fim((20.0, 0.0), (0.0, 0.0), NOISE)
+        far = fim((40.0, 0.0), (0.0, 0.0), NOISE)
+        assert far[2] == pytest.approx(near[2] / 4.0, rel=1e-12)
+        assert far[0] == pytest.approx(near[0], rel=1e-15)
 
     def test_lambda_min_closed_form(self):
         # range information 1/sigma_r^2 lies along the radial direction and
@@ -108,20 +114,36 @@ class TestFim:
             d2 = float((e[0] - c[0]) ** 2 + (e[1] - c[1]) ** 2)
             if d2 < 1.0:
                 continue
-            lmin, _ = eig_sym(*fim(e, c, NOISE)[[0, 0, 1], [0, 1, 1]])
+            lmin, _ = eig_sym(*fim(e, c, NOISE))
             want = min(1.0 / s_r**2, 1.0 / (d2 * s_t**2))
             assert abs(lmin - want) <= 1e-12 * want
             checked += 1
         assert checked > 19_000
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_entries_are_floats(self, as_array):
+        est, cand = (30.0, 40.0), (10.0, 5.0)
+        if as_array:
+            est, cand = np.array(est), np.array(cand)
+        entries = fim(est, cand, NOISE)
+        assert type(entries) is tuple and len(entries) == 3
+        assert all(type(v) is float for v in entries), entries
+
     @pytest.mark.parametrize("modality", [Modality.RTT, Modality.AOA])
-    def test_single_modality_lambda_min_is_zero(self, modality):
-        rng = np.random.default_rng(9)
+    def test_single_modality_map_raises_key_error(self, modality):
+        # every run measures both modalities; a map that lacks one is refused
+        # by name, before any candidate is scored
         noise = {modality: NOISE[modality]}
-        for _ in range(2000):
-            e, c = rng.uniform(0, 100, 2), rng.uniform(0, 100, 2)
-            lmin, lmax = eig_sym(*fim(e, c, noise)[[0, 0, 1], [0, 1, 1]])
-            assert abs(lmin) <= 1e-12 * lmax
+        missing = Modality.AOA if modality is Modality.RTT else Modality.RTT
+        with pytest.raises(KeyError) as raised:
+            fim((10.0, 0.0), (0.0, 0.0), noise)
+        assert raised.value.args == (missing,)
+        with pytest.raises(KeyError) as raised:
+            fim_e_optimal((50.0, 50.0), (80.0, 50.0), PlannerConfig(), noise)
+        assert raised.value.args == (missing,)
+        with pytest.raises(KeyError) as raised:
+            fim((5.0, 5.0), (5.0, 5.0), noise)  # also where no entry is defined
+        assert raised.value.args == (missing,)
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
@@ -129,9 +151,13 @@ class TestFim:
 
 
 class TestFimEOptimal:
-    def test_rtt_only_ties_break_to_first_candidate(self):
+    def test_standoff_ties_break_to_first_candidate(self):
+        # 30 m from the estimate, inside d* = sigma_r / sigma_theta (about
+        # 43 m), every candidate scores 1/sigma_r^2: the first one, heading 0,
+        # wins
         cfg = PlannerConfig(eta=5.0, candidate_count=8, arena=100.0)
-        nxt = fim_e_optimal((50.0, 50.0), (80.0, 50.0), cfg, {Modality.RTT: 1.5})
+        assert NOISE[Modality.RTT] / NOISE[Modality.AOA] > 30.0 + cfg.eta
+        nxt = fim_e_optimal((50.0, 50.0), (80.0, 50.0), cfg, NOISE)
         np.testing.assert_allclose(nxt, [55.0, 50.0], atol=1e-12)
 
     def test_far_estimate_pulls_closer(self):
@@ -168,7 +194,8 @@ class TestFimEOptimal:
                     continue
                 if np.linalg.norm(est - c) < 1e-12:
                     continue
-                lam = np.linalg.eigvalsh(fim(est, c, NOISE))[0]
+                a, b, d = fim(est, c, NOISE)
+                lam = np.linalg.eigvalsh(np.array([[a, b], [b, d]]))[0]
                 if lam > best_val * (1 + 1e-9) + 1e-15:
                     best_val, best = lam, c
             nxt = fim_e_optimal(agent, est, cfg, NOISE)

@@ -86,8 +86,8 @@ MUTANTS = [
            "return 1",
            "a config error exits 1"),
     Mutant("src/asymloc/planners.py",
-           "            c += dx * dx / k\n    except ZeroDivisionError:",
-           "            c += dx * dx / k\n    except OverflowError:",
+           "        c += dx * dx / k_theta\n    except ZeroDivisionError:",
+           "        c += dx * dx / k_theta\n    except OverflowError:",
            "fim() lets ZeroDivisionError out where a denominator is 0"),
     Mutant("src/asymloc/planners.py",
            "math.hypot(0.5 * (a - c), b))\n    except ZeroDivisionError:",
@@ -129,6 +129,18 @@ MUTANTS = [
            "rng.standard_exponential(), *rng.standard_normal(3).tolist())",
            "*rng.standard_normal(3).tolist(), rng.standard_exponential())",
            "the channel draws its normals before the exponential"),
+    Mutant("src/asymloc/planners.py",
+           "k_r, k_theta = d2 * var_r, d2 * d2 * var_theta",
+           "k_r, k_theta = d2 * var_r, d2 * d2 * var_r",
+           "fim_e_optimal's bearing term reads var_r"),
+    Mutant("src/asymloc/experiment.py",
+           "(math.nan if timing else 0.0,)",
+           "(math.nan,)",
+           "run_single pads an untimed cost with NaN"),
+    Mutant("src/asymloc/experiment.py",
+           "        _swept(base, parameter, v)\n",
+           "        pass\n",
+           "sweep skips its type check"),
 ]
 
 
